@@ -123,6 +123,9 @@ func BenchmarkSafeRewritingInterned(b *testing.B) { benchSafeRewriting(b, true) 
 // region — exactly the steady state of a server solving the same plan over
 // a hosted database.
 func TestFOInternedAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	n := pr3FOScales[len(pr3FOScales)-1]
 	q, d := pr3FOInstance(t, n)
 	prog, err := solver.CompileFO(q)
@@ -150,6 +153,9 @@ func TestFOInternedAllocRegression(t *testing.T) {
 // search itself runs out of pooled scratch. The string plane allocates per
 // visited candidate, so its count grows with the instance.
 func TestEngineEvalInternedAllocRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	q, d := pr8EngineInstance(t, 32)
 	d.Interned()
 	interned := testing.AllocsPerRun(50, func() {

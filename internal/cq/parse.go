@@ -32,7 +32,6 @@ const (
 type token struct {
 	kind tokenKind
 	text string
-	pos  int
 	line int
 }
 
@@ -42,9 +41,8 @@ type lexer struct {
 	line  int
 }
 
-func newLexer(input string) *lexer { return &lexer{input: input, line: 1} }
-
-func (l *lexer) next() (token, error) {
+// next scans the next token into t.
+func (l *lexer) next(t *token) error {
 	for l.pos < len(l.input) {
 		c := l.input[l.pos]
 		switch {
@@ -55,36 +53,43 @@ func (l *lexer) next() (token, error) {
 		case c == '\n':
 			l.pos++
 			l.line++
-			return token{kind: tokNewline, pos: l.pos - 1, line: l.line - 1}, nil
+			*t = token{kind: tokNewline, line: l.line - 1}
+			return nil
 		case c == ' ' || c == '\t' || c == '\r':
 			l.pos++
 		case c == '(':
 			l.pos++
-			return token{kind: tokLParen, pos: l.pos - 1, line: l.line}, nil
+			*t = token{kind: tokLParen, line: l.line}
+			return nil
 		case c == ')':
 			l.pos++
-			return token{kind: tokRParen, pos: l.pos - 1, line: l.line}, nil
+			*t = token{kind: tokRParen, line: l.line}
+			return nil
 		case c == ',':
 			l.pos++
-			return token{kind: tokComma, pos: l.pos - 1, line: l.line}, nil
+			*t = token{kind: tokComma, line: l.line}
+			return nil
 		case c == '|':
 			l.pos++
-			return token{kind: tokBar, pos: l.pos - 1, line: l.line}, nil
+			*t = token{kind: tokBar, line: l.line}
+			return nil
 		case c == '\'':
-			return l.lexQuoted()
+			return l.lexQuoted(t)
 		case isDigit(c) || (c == '-' && l.pos+1 < len(l.input) && isDigit(l.input[l.pos+1])):
-			return l.lexNumber()
+			l.lexNumber(t)
+			return nil
 		case isIdentStart(rune(c)):
-			return l.lexIdent()
+			l.lexIdent(t)
+			return nil
 		default:
-			return token{}, fmt.Errorf("line %d: unexpected character %q", l.line, c)
+			return fmt.Errorf("line %d: unexpected character %q", l.line, c)
 		}
 	}
-	return token{kind: tokEOF, pos: l.pos, line: l.line}, nil
+	*t = token{kind: tokEOF, line: l.line}
+	return nil
 }
 
-func (l *lexer) lexQuoted() (token, error) {
-	start := l.pos
+func (l *lexer) lexQuoted(t *token) error {
 	l.pos++ // opening quote
 	var b strings.Builder
 	for l.pos < len(l.input) {
@@ -92,7 +97,7 @@ func (l *lexer) lexQuoted() (token, error) {
 		switch c {
 		case '\\':
 			if l.pos+1 >= len(l.input) {
-				return token{}, fmt.Errorf("line %d: unterminated escape in constant", l.line)
+				return fmt.Errorf("line %d: unterminated escape in constant", l.line)
 			}
 			if l.input[l.pos+1] == '\n' {
 				l.line++ // keep line numbers honest across escaped newlines
@@ -101,18 +106,19 @@ func (l *lexer) lexQuoted() (token, error) {
 			l.pos += 2
 		case '\'':
 			l.pos++
-			return token{kind: tokConst, text: b.String(), pos: start, line: l.line}, nil
+			*t = token{kind: tokConst, text: b.String(), line: l.line}
+			return nil
 		case '\n':
-			return token{}, fmt.Errorf("line %d: newline in quoted constant", l.line)
+			return fmt.Errorf("line %d: newline in quoted constant", l.line)
 		default:
 			b.WriteByte(c)
 			l.pos++
 		}
 	}
-	return token{}, fmt.Errorf("line %d: unterminated quoted constant", l.line)
+	return fmt.Errorf("line %d: unterminated quoted constant", l.line)
 }
 
-func (l *lexer) lexNumber() (token, error) {
+func (l *lexer) lexNumber(t *token) {
 	start := l.pos
 	if l.input[l.pos] == '-' {
 		l.pos++
@@ -120,15 +126,15 @@ func (l *lexer) lexNumber() (token, error) {
 	for l.pos < len(l.input) && (isDigit(l.input[l.pos]) || l.input[l.pos] == '.') {
 		l.pos++
 	}
-	return token{kind: tokConst, text: l.input[start:l.pos], pos: start, line: l.line}, nil
+	*t = token{kind: tokConst, text: l.input[start:l.pos], line: l.line}
 }
 
-func (l *lexer) lexIdent() (token, error) {
+func (l *lexer) lexIdent(t *token) {
 	start := l.pos
 	for l.pos < len(l.input) && isIdentPart(rune(l.input[l.pos])) {
 		l.pos++
 	}
-	return token{kind: tokIdent, text: l.input[start:l.pos], pos: start, line: l.line}, nil
+	*t = token{kind: tokIdent, text: l.input[start:l.pos], line: l.line}
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -142,23 +148,14 @@ func isIdentPart(r rune) bool {
 }
 
 type parser struct {
-	lex    *lexer
-	tok    token
-	peeked bool
+	lex lexer
+	tok token
+
+	args   []string // term texts of the atom being scanned
+	idents []bool   // args[i] is an identifier (a variable in a query)
 }
 
-func (p *parser) advance() error {
-	if p.peeked {
-		p.peeked = false
-		return nil
-	}
-	t, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
-}
+func (p *parser) advance() error { return p.lex.next(&p.tok) }
 
 // skipNewlines advances past newline tokens.
 func (p *parser) skipNewlines() error {
@@ -170,94 +167,151 @@ func (p *parser) skipNewlines() error {
 	return nil
 }
 
-// parseAtom parses one atom; the current token must be the relation name.
-func (p *parser) parseAtom() (Atom, error) {
+// scanAtom parses one atom; the current token must be the relation name.
+// It appends each term's text to p.args and whether the term is an
+// identifier to p.idents (both reset per atom). The grammar itself
+// guarantees the signature n >= k >= 1: a bar needs a term on each side.
+func (p *parser) scanAtom() (rel string, keyLen int, err error) {
+	p.args, p.idents = p.args[:0], p.idents[:0]
 	if p.tok.kind != tokIdent {
-		return Atom{}, fmt.Errorf("line %d: expected relation name, got %q", p.tok.line, p.tok.text)
+		return "", 0, fmt.Errorf("line %d: expected relation name, got %q", p.tok.line, p.tok.text)
 	}
-	rel := p.tok.text
+	rel = p.tok.text
 	if err := p.advance(); err != nil {
-		return Atom{}, err
+		return "", 0, err
 	}
 	if p.tok.kind != tokLParen {
-		return Atom{}, fmt.Errorf("line %d: expected '(' after relation %s", p.tok.line, rel)
+		return "", 0, fmt.Errorf("line %d: expected '(' after relation %s", p.tok.line, rel)
 	}
 	if err := p.advance(); err != nil {
-		return Atom{}, err
+		return "", 0, err
 	}
-	var args []Term
-	keyLen := -1
+	keyLen = -1
 	for {
 		switch p.tok.kind {
-		case tokIdent:
-			args = append(args, Var(p.tok.text))
-		case tokConst:
-			args = append(args, Const(p.tok.text))
+		case tokIdent, tokConst:
+			p.args = append(p.args, p.tok.text)
+			p.idents = append(p.idents, p.tok.kind == tokIdent)
 		default:
-			return Atom{}, fmt.Errorf("line %d: expected term in atom %s", p.tok.line, rel)
+			return "", 0, fmt.Errorf("line %d: expected term in atom %s", p.tok.line, rel)
 		}
 		if err := p.advance(); err != nil {
-			return Atom{}, err
+			return "", 0, err
 		}
 		switch p.tok.kind {
 		case tokComma:
 			if err := p.advance(); err != nil {
-				return Atom{}, err
+				return "", 0, err
 			}
 		case tokBar:
 			if keyLen >= 0 {
-				return Atom{}, fmt.Errorf("line %d: atom %s has two key separators", p.tok.line, rel)
+				return "", 0, fmt.Errorf("line %d: atom %s has two key separators", p.tok.line, rel)
 			}
-			keyLen = len(args)
+			keyLen = len(p.args)
 			if err := p.advance(); err != nil {
-				return Atom{}, err
+				return "", 0, err
 			}
 		case tokRParen:
 			if keyLen < 0 {
-				keyLen = len(args) // all-key
+				keyLen = len(p.args) // all-key
 			}
-			if err := p.advance(); err != nil {
-				return Atom{}, err
-			}
-			a := Atom{Rel: rel, KeyLen: keyLen, Args: args}
-			if err := a.Validate(); err != nil {
-				return Atom{}, fmt.Errorf("line %d: %v", p.tok.line, err)
-			}
-			return a, nil
+			return rel, keyLen, p.advance()
 		default:
-			return Atom{}, fmt.Errorf("line %d: expected ',', '|' or ')' in atom %s", p.tok.line, rel)
+			return "", 0, fmt.Errorf("line %d: expected ',', '|' or ')' in atom %s", p.tok.line, rel)
 		}
 	}
 }
 
+// Scanner reads the atoms of a text in the textual language one at a time,
+// without building Terms: each atom is its relation name, key length and
+// argument texts. ParseQuery is built on it, and the database loader uses
+// it to scan fact text straight into facts. Atoms may be separated by
+// commas and/or newlines.
+type Scanner struct {
+	p       parser
+	started bool
+	rel     string
+	keyLen  int
+	err     error
+}
+
+// NewScanner returns a scanner over input.
+func NewScanner(input string) *Scanner {
+	return &Scanner{p: parser{lex: lexer{input: input, line: 1}}}
+}
+
+// Scan advances to the next atom, reporting false at the end of the input
+// or on the first syntax error (see Err).
+func (s *Scanner) Scan() bool {
+	if s.err != nil {
+		return false
+	}
+	s.rel, s.err = s.scan()
+	return s.err == nil && s.rel != ""
+}
+
+func (s *Scanner) scan() (string, error) {
+	p := &s.p
+	if !s.started {
+		s.started = true
+		if err := p.advance(); err != nil {
+			return "", err
+		}
+	}
+	if err := p.skipNewlines(); err != nil {
+		return "", err
+	}
+	if p.tok.kind == tokEOF {
+		return "", nil
+	}
+	rel, keyLen, err := p.scanAtom()
+	if err != nil {
+		return "", err
+	}
+	s.keyLen = keyLen
+	if err := p.skipNewlines(); err != nil {
+		return "", err
+	}
+	if p.tok.kind == tokComma {
+		if err := p.advance(); err != nil {
+			return "", err
+		}
+	}
+	return rel, nil
+}
+
+// Rel returns the current atom's relation name.
+func (s *Scanner) Rel() string { return s.rel }
+
+// KeyLen returns the current atom's key length: the number of terms before
+// the bar, or all of them for an atom without one.
+func (s *Scanner) KeyLen() int { return s.keyLen }
+
+// Args returns the current atom's argument texts: identifier names and
+// constant values alike. The slice is reused by the next Scan.
+func (s *Scanner) Args() []string { return s.p.args }
+
+// Err returns the first syntax error, with its line number, or nil.
+func (s *Scanner) Err() error { return s.err }
+
 // ParseQuery parses a Boolean conjunctive query in the textual language.
 // Atoms may be separated by commas and/or newlines.
 func ParseQuery(input string) (Query, error) {
-	p := &parser{lex: newLexer(input)}
-	if err := p.advance(); err != nil {
-		return Query{}, err
-	}
+	s := NewScanner(input)
 	var atoms []Atom
-	for {
-		if err := p.skipNewlines(); err != nil {
-			return Query{}, err
-		}
-		if p.tok.kind == tokEOF {
-			break
-		}
-		a, err := p.parseAtom()
-		if err != nil {
-			return Query{}, err
-		}
-		atoms = append(atoms, a)
-		if err := p.skipNewlines(); err != nil {
-			return Query{}, err
-		}
-		if p.tok.kind == tokComma {
-			if err := p.advance(); err != nil {
-				return Query{}, err
+	for s.Scan() {
+		args := make([]Term, len(s.p.args))
+		for i, text := range s.p.args {
+			if s.p.idents[i] {
+				args[i] = Var(text)
+			} else {
+				args[i] = Const(text)
 			}
 		}
+		atoms = append(atoms, Atom{Rel: s.rel, KeyLen: s.keyLen, Args: args})
+	}
+	if s.err != nil {
+		return Query{}, s.err
 	}
 	q := Query{Atoms: atoms}
 	if err := q.Validate(); err != nil {

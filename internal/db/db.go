@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/govern"
 )
 
@@ -56,26 +55,6 @@ func New() *DB {
 	return &DB{rels: make(map[string]*relation)}
 }
 
-// FromFacts returns a database containing the given facts.
-func FromFacts(facts ...Fact) (*DB, error) {
-	d := New()
-	for _, f := range facts {
-		if err := d.Add(f); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-// MustFromFacts is FromFacts panicking on error, for tests and literals.
-func MustFromFacts(facts ...Fact) *DB {
-	d, err := FromFacts(facts...)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Add inserts a fact (idempotently). It rejects invalid facts and signature
 // conflicts with previously inserted facts of the same relation.
 func (d *DB) Add(f Fact) error {
@@ -83,38 +62,30 @@ func (d *DB) Add(f Fact) error {
 		return err
 	}
 	sig := [2]int{len(f.Args), f.KeyLen}
-	if r, ok := d.rels[f.Rel]; ok && r.sig != sig {
+	r, ok := d.rels[f.Rel]
+	if ok && r.sig != sig {
 		return fmt.Errorf("db: relation %s used with signatures [%d,%d] and [%d,%d]",
 			f.Rel, r.sig[0], r.sig[1], sig[0], sig[1])
 	}
-	d.addValidated(f)
-	return nil
-}
-
-// addValidated inserts a fact that is already known to be valid and
-// signature-consistent with the database (facts coming from another DB that
-// validated them on first insert). Skipping re-validation keeps derived
-// databases (Restrict, WithoutBlock, RepairDB) off the per-fact error paths.
-func (d *DB) addValidated(f Fact) {
-	r, ok := d.rels[f.Rel]
 	if !ok {
-		r = newRelation([2]int{len(f.Args), f.KeyLen})
+		r = newRelation(sig)
 		d.rels[f.Rel] = r
 	}
-	if _, dup := r.ids[f.ID()]; dup {
-		return
+	id, bid := encode(f)
+	if _, dup := r.ids[id]; dup {
+		return nil
 	}
 	m := r.mutable()
 	if m != r {
 		d.rels[f.Rel] = m
 	}
-	bid := f.BlockID()
 	if _, known := m.blocks[bid]; !known {
 		d.blockOrder = append(d.blockOrder, blockRef{rel: f.Rel, bid: bid})
 	}
-	m.insert(f)
+	m.insert(f, id, bid)
 	d.facts = append(d.facts, f)
 	d.resetRoot()
+	return nil
 }
 
 // resetRoot drops the memoized composed digest and the interned columnar
@@ -140,7 +111,7 @@ func (d *DB) Has(f Fact) bool {
 	if !ok {
 		return false
 	}
-	_, ok = r.ids[f.ID()]
+	_, ok = r.index(f)
 	return ok
 }
 
@@ -182,7 +153,7 @@ func (d *DB) Block(f Fact) []Fact {
 	if !ok {
 		return make([]Fact, 0)
 	}
-	blk := r.blocks[f.BlockID()]
+	blk := r.blockOf(f)
 	out := make([]Fact, len(blk))
 	copy(out, blk)
 	return out
@@ -261,13 +232,13 @@ func (d *DB) Clone() *DB {
 // Restrict returns the sub-database containing only facts satisfying keep.
 // Facts were validated on first insertion, so the copy skips re-validation.
 func (d *DB) Restrict(keep func(Fact) bool) *DB {
-	c := New()
+	var kept []Fact
 	for _, f := range d.facts {
 		if keep(f) {
-			c.addValidated(f)
+			kept = append(kept, f)
 		}
 	}
-	return c
+	return load(kept)
 }
 
 // PartitionFacts splits the database into n sub-databases in one validated
@@ -277,14 +248,15 @@ func (d *DB) Restrict(keep func(Fact) bool) *DB {
 // uses this to materialize all of a decomposition's sub-instances in O(facts)
 // instead of one Restrict scan per shard.
 func (d *DB) PartitionFacts(n int, label func(i int, f Fact) int) []*DB {
-	parts := make([]*DB, n)
-	for i := range parts {
-		parts[i] = New()
-	}
+	groups := make([][]Fact, n)
 	for i, f := range d.facts {
 		if g := label(i, f); g >= 0 && g < n {
-			parts[g].addValidated(f)
+			groups[g] = append(groups[g], f)
 		}
+	}
+	parts := make([]*DB, n)
+	for g, facts := range groups {
+		parts[g] = load(facts)
 	}
 	return parts
 }
@@ -364,70 +336,17 @@ func (d *DB) EachRepairCtx(ctx context.Context, yield func(repair []Fact) bool) 
 // consistent database. The facts must come from a valid database; they are
 // not re-validated.
 func RepairDB(repair []Fact) *DB {
-	d := New()
-	for _, f := range repair {
-		d.addValidated(f)
-	}
-	return d
+	return load(append([]Fact(nil), repair...))
 }
 
 // Union returns a new database containing the facts of both inputs.
 func Union(a, b *DB) (*DB, error) {
-	c := New()
-	for _, f := range a.Facts() {
-		if err := c.Add(f); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range b.Facts() {
-		if err := c.Add(f); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// Parse reads a database in the textual format: one fact per line (or
-// comma-separated), e.g.
-//
-//	C(PODS, 2016 | Rome)
-//	C(PODS, 2016 | Paris)
-//	R(PODS | A)
-//
-// Bare identifiers and numbers denote constants; quoted strings are also
-// constants. Variables are not allowed in database files.
-//
-// Parse is hardened against adversarial input: NUL bytes are rejected up
-// front, rows wider than MaxArity and signature conflicts between rows of
-// the same relation are reported as errors, and no input can panic.
-func Parse(input string) (*DB, error) {
-	if i := strings.IndexByte(input, 0); i >= 0 {
-		return nil, fmt.Errorf("db: input contains a NUL byte at offset %d", i)
-	}
-	q, err := cq.ParseQuery(input)
-	if err != nil {
+	facts := make([]Fact, 0, a.Len()+b.Len())
+	facts = append(append(facts, a.facts...), b.facts...)
+	if err := checkFacts(facts); err != nil {
 		return nil, err
 	}
-	d := New()
-	for _, a := range q.Atoms {
-		args := make([]string, len(a.Args))
-		for i, t := range a.Args {
-			args[i] = t.Value // identifiers are constants in database files
-		}
-		if err := d.Add(Fact{Rel: a.Rel, KeyLen: a.KeyLen, Args: args}); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-// MustParse is Parse panicking on error.
-func MustParse(input string) *DB {
-	d, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return d
+	return load(facts), nil
 }
 
 // String renders the database with one fact per line, grouped by block in
@@ -488,17 +407,18 @@ func (d *DB) Remove(f Fact) bool {
 	if !ok {
 		return false
 	}
-	if _, present := r.ids[f.ID()]; !present {
+	id, bid := encode(f)
+	if _, present := r.ids[id]; !present {
 		return false
 	}
 	m := r.mutable()
 	if m != r {
 		d.rels[f.Rel] = m
 	}
-	blockEmptied := m.remove(f)
+	blockEmptied := m.remove(f, id, bid)
 	d.dropGlobalFact(f)
 	if blockEmptied {
-		d.dropBlockRef(blockRef{rel: f.Rel, bid: f.BlockID()})
+		d.dropBlockRef(blockRef{rel: f.Rel, bid: bid})
 	}
 	if len(m.facts) == 0 {
 		delete(d.rels, f.Rel)
@@ -550,7 +470,7 @@ func (d *DB) RemoveBlock(f Fact) int {
 	if !ok {
 		return 0
 	}
-	blk := r.blocks[f.BlockID()]
+	blk := r.blockOf(f)
 	if len(blk) == 0 {
 		return 0
 	}

@@ -64,35 +64,61 @@ func (f Fact) Validate() error {
 // KeyArgs returns the primary-key constants.
 func (f Fact) KeyArgs() []string { return f.Args[:f.KeyLen] }
 
-// encodeParts writes a length-prefixed, unambiguous encoding of parts.
-func encodeParts(b *strings.Builder, parts []string) {
-	for _, p := range parts {
-		b.WriteString(strconv.Itoa(len(p)))
-		b.WriteByte(':')
-		b.WriteString(p)
+// appendEncoding appends f's canonical encoding to b: the relation name, a
+// slash, then each argument length-prefixed ("3:abc"), which is unambiguous
+// even when constants contain delimiter characters. It also returns the
+// offset in the result where the key arguments end: the encoding up to there
+// is f's BlockID, the whole of it f's ID. Every database structure keyed by
+// fact or block is keyed by this one encoding.
+func appendEncoding(b []byte, f Fact) ([]byte, int) {
+	b = append(b, f.Rel...)
+	b = append(b, '/')
+	keyEnd := len(b)
+	for i, a := range f.Args {
+		b = strconv.AppendInt(b, int64(len(a)), 10)
+		b = append(b, ':')
+		b = append(b, a...)
+		if i < f.KeyLen {
+			keyEnd = len(b)
+		}
 	}
+	return b, keyEnd
+}
+
+// encodingBuf sizes the stack buffers that hold one fact's encoding for a
+// map probe; longer encodings spill to the heap.
+const encodingBuf = 128
+
+// encode returns f's ID and BlockID; they share one allocation, the BlockID
+// being a prefix of the ID.
+func encode(f Fact) (id, bid string) {
+	var buf [encodingBuf]byte
+	b, keyEnd := appendEncoding(buf[:0], f)
+	id = string(b)
+	return id, id[:keyEnd]
 }
 
 // ID returns a canonical encoding identifying the fact (relation plus all
 // arguments), safe for use as a map key even when constants contain
 // delimiter characters.
 func (f Fact) ID() string {
-	var b strings.Builder
-	b.WriteString(f.Rel)
-	b.WriteByte('/')
-	encodeParts(&b, f.Args)
-	return b.String()
+	id, _ := encode(f)
+	return id
 }
 
 // BlockID returns a canonical encoding of the fact's block: the relation
 // plus the primary-key arguments. Two facts are key-equal iff their
 // BlockIDs coincide.
 func (f Fact) BlockID() string {
-	var b strings.Builder
-	b.WriteString(f.Rel)
-	b.WriteByte('/')
-	encodeParts(&b, f.KeyArgs())
-	return b.String()
+	var buf [encodingBuf]byte
+	b, _ := appendEncoding(buf[:0], f.keyOnly())
+	return string(b)
+}
+
+// keyOnly returns f cut down to its key arguments, whose encoding is f's
+// BlockID.
+func (f Fact) keyOnly() Fact {
+	return Fact{Rel: f.Rel, KeyLen: f.KeyLen, Args: f.KeyArgs()}
 }
 
 // KeyEqual reports whether f and g are key-equal: same relation name and

@@ -6,8 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzParseDB checks that the database text parser never panics and that
-// whatever it accepts round-trips through String as the same fact set.
+// FuzzParseDB checks that the database text parser never panics, that it
+// agrees with its fact-by-fact reference (the text parsed as a query, then
+// one Add per atom) on accept or reject, the error, and everything an
+// accepted database exposes, and that whatever it accepts round-trips
+// through String as the same fact set.
 func FuzzParseDB(f *testing.F) {
 	seeds := []string{
 		"C(PODS, 2016 | Rome)\nC(PODS, 2016 | Paris)\nR(PODS | A)",
@@ -15,9 +18,11 @@ func FuzzParseDB(f *testing.F) {
 		"R('quo\\'ted', 'a\\\\b' | x)",
 		"R('line\\\nbreak' | x)",
 		"N(1, -2 | 3.5)",
-		"R(a | b)\nR(a, b | c)", // duplicate relation, conflicting signature
-		"R(a)\nR(a | b)",        // duplicate relation, conflicting key length
-		"R(\x00 | b)",           // NUL byte
+		"R(a | b)\nR(a, b | c)",                  // duplicate relation, conflicting signature
+		"R(a)\nR(a | b)",                         // duplicate relation, conflicting key length
+		"R(\x00 | b)",                            // NUL byte
+		"R(a | b)\nR(a | b)\nR(a | c)\nS(b | a)", // duplicates, a shared key, a relation name as a constant
+		"R(a | b)\nR(a, b | c)\nS(",              // a syntax error after a conflict
 		"# comment only",
 		"",
 	}
@@ -26,6 +31,8 @@ func FuzzParseDB(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		d, err := Parse(input)
+		want, wantErr := referenceParse(input)
+		sameResult(t, "Parse", d, err, want, wantErr)
 		if err != nil {
 			return
 		}

@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,6 +46,30 @@ func TestParseRejectsConflictingSignatures(t *testing.T) {
 	} {
 		if _, err := Parse(input); err == nil {
 			t.Errorf("Parse(%q) accepted conflicting signatures", input)
+		}
+	}
+}
+
+// TestParseGarbageAllocBounded: Parse presizes its buffers from character
+// counts taken before any syntax is checked, so the presize is capped.
+// Megabytes of '(' or ',' are rejected at the first bad token without
+// allocating in proportion to those counts.
+func TestParseGarbageAllocBounded(t *testing.T) {
+	const n = 4 << 20
+	for name, input := range map[string]string{
+		"parens":             strings.Repeat("(", n),
+		"commas":             strings.Repeat(",", n),
+		"parens after facts": "R(a | b)\nR(c | d)\n" + strings.Repeat("(", n),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(input)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: Parse accepted garbage", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > n/4 {
+			t.Errorf("%s: Parse of %d bytes allocated %d bytes before rejecting it", name, n, got)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 package db
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"github.com/cqa-go/certainty/internal/obs"
 )
@@ -46,22 +47,62 @@ func init() {
 //
 // Every returned slice is shared and must be treated as immutable.
 
-// computeDigest hashes a fact set order-independently: each fact is
-// rendered as its length-prefixed canonical encoding (including the key
-// length, which Fact.ID omits), the encodings are sorted, and the sorted
-// sequence is hashed with per-entry length prefixes so concatenation is
-// unambiguous.
-func computeDigest(facts []Fact) string {
-	enc := make([]string, len(facts))
-	for i, f := range facts {
-		var b strings.Builder
-		b.WriteString(strconv.Itoa(f.KeyLen))
-		b.WriteByte('|')
-		b.WriteString(f.ID())
-		enc[i] = b.String()
+// hexDigestLen is the length of a hex-encoded SHA-256 digest.
+const hexDigestLen = 2 * sha256.Size
+
+// digester computes block digests with reused buffers, so hashing a
+// relation's blocks allocates no per-fact or per-block strings. Like every
+// digest of the index, a block digest is a SHA-256 over length-prefixed
+// parts ("3:abc"), which makes concatenation unambiguous.
+type digester struct {
+	buf   []byte            // hash input
+	enc   []byte            // a block's fact renderings, back to back
+	spans [][2]int          // [start, end) of each rendering in enc
+	sum   [sha256.Size]byte // the last digest computed
+}
+
+// appendPart appends one length-prefixed part to b.
+func appendPart[T string | []byte](b []byte, e T) []byte {
+	b = strconv.AppendInt(b, int64(len(e)), 10)
+	b = append(b, ':')
+	return append(b, e...)
+}
+
+// block sets g.sum to the digest of a fact set, order-independently: each
+// fact is rendered as its key length, a bar, and its canonical encoding
+// (appendEncoding; Fact.ID omits the key length), and the sorted renderings
+// are the parts.
+func (g *digester) block(facts []Fact) {
+	g.enc, g.spans = g.enc[:0], g.spans[:0]
+	for _, f := range facts {
+		start := len(g.enc)
+		g.enc = strconv.AppendInt(g.enc, int64(f.KeyLen), 10)
+		g.enc = append(g.enc, '|')
+		g.enc, _ = appendEncoding(g.enc, f)
+		g.spans = append(g.spans, [2]int{start, len(g.enc)})
 	}
-	sort.Strings(enc)
-	return hashParts(enc)
+	if len(g.spans) > 1 {
+		slices.SortFunc(g.spans, func(a, b [2]int) int {
+			return bytes.Compare(g.enc[a[0]:a[1]], g.enc[b[0]:b[1]])
+		})
+	}
+	g.buf = g.buf[:0]
+	for _, sp := range g.spans {
+		g.buf = appendPart(g.buf, g.enc[sp[0]:sp[1]])
+	}
+	g.sum = sha256.Sum256(g.buf)
+}
+
+// appendHex appends the hex form of the last digest computed.
+func (g *digester) appendHex(dst []byte) []byte {
+	return hex.AppendEncode(dst, g.sum[:])
+}
+
+// computeDigest returns the hex digest of one fact set (see digester.block).
+func computeDigest(facts []Fact) string {
+	var g digester
+	g.block(facts)
+	return string(g.appendHex(nil))
 }
 
 // HashParts is the digest composition used throughout the index — a
@@ -74,12 +115,10 @@ func HashParts(parts []string) string { return hashParts(parts) }
 // concatenation is unambiguous, returning the hex digest.
 func hashParts(parts []string) string {
 	h := sha256.New()
-	var lenBuf [16]byte
+	var part []byte
 	for _, e := range parts {
-		n := strconv.AppendInt(lenBuf[:0], int64(len(e)), 10)
-		h.Write(n)
-		h.Write([]byte{':'})
-		h.Write([]byte(e))
+		part = appendPart(part[:0], e)
+		h.Write(part)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -199,7 +238,7 @@ func (d *DB) BlockView(f Fact) []Fact {
 	if !ok {
 		return nil
 	}
-	return r.blocks[f.BlockID()]
+	return r.blockOf(f)
 }
 
 // FactsAt returns the facts of rel whose argument at position pos equals

@@ -59,9 +59,46 @@ type IRel struct {
 	// BlockOfFact maps each fact index to its block ordinal.
 	BlockOfFact []uint32
 
-	blockIdx map[uint64][]uint32   // hash(key ids) → block ordinals (verify on probe)
-	factIdx  map[uint64][]uint32   // hash(all ids) → fact indices (verify on probe)
-	postings []map[uint32][]uint32 // per position: id → ascending fact indices
+	blockIdx chainIndex             // hash(key ids) → block ordinals (verify on probe)
+	factIdx  chainIndex             // hash(all ids) → fact indices (verify on probe)
+	postings []map[uint32][2]uint32 // per position: id → [start, end) in postSeg
+	postSeg  [][]uint32             // per position: fact indices grouped by id, ascending
+}
+
+// noOrd ends a chainIndex chain.
+const noOrd = ^uint32(0)
+
+// chainIndex maps a hash of ids to the ordinals (facts or blocks) carrying
+// it: head holds the last ordinal added per hash, and next links each
+// ordinal to the one added before it with the same hash. Collisions are
+// rare, so almost every chain is one ordinal long, and the index costs one
+// small map entry per ordinal plus one slice.
+type chainIndex struct {
+	head map[uint64]uint32
+	next []uint32
+}
+
+func newChainIndex(n int) chainIndex {
+	return chainIndex{head: make(map[uint64]uint32, n), next: make([]uint32, n)}
+}
+
+// add links ordinal o under hash h.
+func (c *chainIndex) add(h uint64, o uint32) {
+	prev, ok := c.head[h]
+	if !ok {
+		prev = noOrd
+	}
+	c.next[o] = prev
+	c.head[h] = o
+}
+
+// first returns the head of h's chain, noOrd when h is absent; follow the
+// chain through next.
+func (c *chainIndex) first(h uint64) uint32 {
+	if o, ok := c.head[h]; ok {
+		return o
+	}
+	return noOrd
 }
 
 const (
@@ -112,7 +149,7 @@ func (r *IRel) keyMatches(fi uint32, key []uint32) bool {
 // (len(key) must be KeyLen), or (nil, false) when no such block exists.
 // Zero-alloc: the result is a shared sub-slice of ByBlock.
 func (r *IRel) BlockOf(key []uint32) ([]uint32, bool) {
-	for _, b := range r.blockIdx[hashIDs(key)] {
+	for b := r.blockIdx.first(hashIDs(key)); b != noOrd; b = r.blockIdx.next[b] {
 		span := r.BlockSpan(int(b))
 		if r.keyMatches(span[0], key) {
 			return span, true
@@ -124,7 +161,7 @@ func (r *IRel) BlockOf(key []uint32) ([]uint32, bool) {
 // FactIndex returns the index of the fact with exactly the given argument
 // ids (len(args) must be Arity), or (0, false) when absent. Zero-alloc.
 func (r *IRel) FactIndex(args []uint32) (uint32, bool) {
-	for _, fi := range r.factIdx[hashIDs(args)] {
+	for fi := r.factIdx.first(hashIDs(args)); fi != noOrd; fi = r.factIdx.next[fi] {
 		if r.keyMatches(fi, args) {
 			return fi, true
 		}
@@ -143,7 +180,11 @@ func (r *IRel) HasTuple(args []uint32) bool {
 // Posting returns the ascending fact indices carrying id at argument
 // position pos, as a shared slice. Zero-alloc.
 func (r *IRel) Posting(pos int, id uint32) []uint32 {
-	return r.postings[pos][id]
+	span, ok := r.postings[pos][id]
+	if !ok {
+		return nil
+	}
+	return r.postSeg[pos][span[0]:span[1]:span[1]]
 }
 
 // Arg returns the id of argument pos of fact fi.
@@ -184,10 +225,9 @@ func (d *DB) Interned() *Interned {
 }
 
 // buildInterned constructs the columnar view. Pass 1 interns symbols in
-// global fact insertion order (fixing the deterministic id assignment and
-// the active domain); pass 2 lays out each relation column-wise and builds
-// the block/fact/posting indexes from the relation's own insertion-ordered
-// structures.
+// global fact insertion order — fixing the deterministic id assignment and
+// the active domain — with one probe per symbol occurrence, writing each
+// argument's id straight into its relation's column. Pass 2 indexes each relation from its columns (see indexRel).
 func (d *DB) buildInterned() *Interned {
 	internBuilds.Inc()
 	syms := intern.NewTable()
@@ -195,71 +235,134 @@ func (d *DB) buildInterned() *Interned {
 		Syms: syms,
 		rels: make(map[string]*IRel, len(d.rels)),
 	}
-	seen := make(map[uint32]struct{})
+	// A relation's facts are the subsequence of the global facts naming it,
+	// in the same order, so each relation fills its columns row by row.
+	type fill struct {
+		ir  *IRel
+		row int
+	}
+	fills := make(map[string]*fill, len(d.rels))
+	for name, r := range d.rels {
+		ir := newIRel(r.sig, len(r.facts))
+		in.rels[name] = ir
+		fills[name] = &fill{ir: ir}
+	}
 	for _, f := range d.facts {
-		syms.Intern(f.Rel)
-		for _, a := range f.Args {
+		cur := fills[f.Rel]
+		if id := syms.Intern(f.Rel); int(id) == len(in.isDomainSym) {
+			in.isDomainSym = append(in.isDomainSym, false)
+		}
+		for p, a := range f.Args {
 			id := syms.Intern(a)
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
+			if int(id) == len(in.isDomainSym) {
+				in.isDomainSym = append(in.isDomainSym, false)
+			}
+			if !in.isDomainSym[id] {
+				in.isDomainSym[id] = true
 				in.domain = append(in.domain, id)
 			}
+			cur.ir.Cols[p][cur.row] = id
 		}
-	}
-	in.isDomainSym = make([]bool, syms.Len())
-	for _, id := range in.domain {
-		in.isDomainSym[id] = true
+		cur.row++
 	}
 
+	count, next := make([]uint32, syms.Len()), make([]uint32, syms.Len())
 	for name, r := range d.rels {
-		ir := &IRel{
-			Arity:       r.sig[0],
-			KeyLen:      r.sig[1],
-			Cols:        make([][]uint32, r.sig[0]),
-			ByBlock:     make([]uint32, 0, len(r.facts)),
-			BlockOff:    make([]uint32, 1, len(r.blockOrder)+1),
-			BlockOfFact: make([]uint32, len(r.facts)),
-			blockIdx:    make(map[uint64][]uint32, len(r.blockOrder)),
-			factIdx:     make(map[uint64][]uint32, len(r.facts)),
-			postings:    make([]map[uint32][]uint32, r.sig[0]),
-		}
-		for p := range ir.Cols {
-			ir.Cols[p] = make([]uint32, len(r.facts))
-			ir.postings[p] = make(map[uint32][]uint32)
-		}
-		args := make([]uint32, r.sig[0])
-		for i, f := range r.facts {
-			for p, a := range f.Args {
-				id, _ := syms.Lookup(a)
-				ir.Cols[p][i] = id
-				ir.postings[p][id] = append(ir.postings[p][id], uint32(i))
-				args[p] = id
-			}
-			h := hashIDs(args)
-			ir.factIdx[h] = append(ir.factIdx[h], uint32(i))
-		}
-		for b, bid := range r.blockOrder {
-			blk := r.blocks[bid]
-			for _, f := range blk {
-				fi := uint32(r.ids[f.ID()])
-				ir.ByBlock = append(ir.ByBlock, fi)
-				ir.BlockOfFact[fi] = uint32(b)
-			}
-			ir.BlockOff = append(ir.BlockOff, uint32(len(ir.ByBlock)))
-			first := ir.ByBlock[ir.BlockOff[b]]
-			kh := hashIDs(keyOf(ir, first))
-			ir.blockIdx[kh] = append(ir.blockIdx[kh], uint32(b))
-		}
-		in.rels[name] = ir
+		indexRel(in.rels[name], r, count, next)
 	}
 	return in
 }
 
-// keyOf reads the key ids of fact fi into a fresh slice (build-time only).
-func keyOf(r *IRel, fi uint32) []uint32 {
-	key := make([]uint32, r.KeyLen)
-	for p := 0; p < r.KeyLen; p++ {
-		key[p] = r.Cols[p][fi]
+// newIRel allocates the columns of a relation with the given signature and
+// fact count, one backing array for all of them.
+func newIRel(sig [2]int, n int) *IRel {
+	ir := &IRel{
+		Arity:  sig[0],
+		KeyLen: sig[1],
+		Cols:   make([][]uint32, sig[0]),
 	}
-	return key
+	cells := make([]uint32, sig[0]*n)
+	for p := range ir.Cols {
+		ir.Cols[p] = cells[p*n : (p+1)*n : (p+1)*n]
+	}
+	return ir
+}
+
+// indexRel builds ir's block, fact and posting indexes from its filled
+// columns and r's block ordinals (r.ords, which follow r's block order:
+// first insertion, which removing a block's first fact does not change). A
+// counting sort groups the facts by block ordinal, ascending within each
+// block, and posting lists are counting-sorted the same way, per position,
+// into one segment array, so a fresh view allocates per relation and
+// position, not per fact, block or value. count and next are scratch
+// indexed by symbol id, shared by all relations; count is all zero between
+// calls.
+func indexRel(ir *IRel, r *relation, count, next []uint32) {
+	n, nb := len(r.facts), len(r.blockOrder)
+	ir.BlockOfFact = make([]uint32, n)
+	ir.BlockOff = make([]uint32, nb+1)
+	for i, b := range r.ords {
+		ir.BlockOfFact[i] = uint32(b)
+		ir.BlockOff[b+1]++
+	}
+	for b := 0; b < nb; b++ {
+		ir.BlockOff[b+1] += ir.BlockOff[b]
+	}
+	cursor := make([]uint32, nb)
+	copy(cursor, ir.BlockOff[:nb])
+	ir.ByBlock = make([]uint32, n)
+	for i, b := range ir.BlockOfFact {
+		ir.ByBlock[cursor[b]] = uint32(i)
+		cursor[b]++
+	}
+
+	args := make([]uint32, ir.Arity)
+	ir.blockIdx = newChainIndex(nb)
+	for b := 0; b < nb; b++ {
+		first := ir.ByBlock[ir.BlockOff[b]]
+		ir.blockIdx.add(hashIDs(ir.row(first, args)[:ir.KeyLen]), uint32(b))
+	}
+	ir.factIdx = newChainIndex(n)
+	for i := 0; i < n; i++ {
+		ir.factIdx.add(hashIDs(ir.row(uint32(i), args)), uint32(i))
+	}
+
+	// Postings: per position, count each id, give each a segment in
+	// first-occurrence order, then fill the segments in ascending fact order.
+	ir.postings = make([]map[uint32][2]uint32, ir.Arity)
+	ir.postSeg = make([][]uint32, ir.Arity)
+	backing := make([]uint32, ir.Arity*n)
+	for p, col := range ir.Cols {
+		seg := backing[p*n : (p+1)*n : (p+1)*n]
+		distinct := 0
+		for _, id := range col {
+			if count[id] == 0 {
+				distinct++
+			}
+			count[id]++
+		}
+		m := make(map[uint32][2]uint32, distinct)
+		off := uint32(0)
+		for _, id := range col {
+			if c := count[id]; c != 0 {
+				m[id] = [2]uint32{off, off + c}
+				next[id] = off
+				off += c
+				count[id] = 0
+			}
+		}
+		for i, id := range col {
+			seg[next[id]] = uint32(i)
+			next[id]++
+		}
+		ir.postings[p], ir.postSeg[p] = m, seg
+	}
+}
+
+// row reads the ids of fact fi into buf.
+func (r *IRel) row(fi uint32, buf []uint32) []uint32 {
+	for p := range buf {
+		buf[p] = r.Cols[p][fi]
+	}
+	return buf
 }

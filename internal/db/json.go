@@ -22,12 +22,9 @@ func (d *DB) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	out := New()
-	for _, f := range w.Facts {
-		if err := out.Add(f); err != nil {
-			return err
-		}
+	if err := checkFacts(w.Facts); err != nil {
+		return err
 	}
-	d.assignFrom(out)
+	d.assignFrom(load(w.Facts))
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 // touched relation's lazy parts (and, within it, only the touched block's
 // digest is recomputed).
 //
-// Core fields (sig, facts, ids, blocks, blockOrder) are maintained eagerly
+// Core fields (sig, facts, ids, blocks, blockOrder, ords) are maintained eagerly
 // on every mutation. Lazy fields (postings, blockList, blockDigests,
 // digest) are built on first use under imu and then read without locks;
 // once a relation is shared it is immutable, so the memoized parts stay
@@ -29,6 +29,7 @@ type relation struct {
 	ids        map[string]int    // Fact.ID() → index into facts
 	blocks     map[string][]Fact // Fact.BlockID() → facts, insertion order
 	blockOrder []string          // block IDs in first-insertion order
+	ords       []int32           // ords[i]: blockOrder position of facts[i]'s block
 
 	// shared is set when a second database gains a reference to this
 	// struct (Clone). A shared relation must never be mutated in place.
@@ -77,6 +78,7 @@ func (r *relation) mutable() *relation {
 		ids:        make(map[string]int, len(r.ids)+1),
 		blocks:     make(map[string][]Fact, len(r.blocks)+1),
 		blockOrder: append([]string(nil), r.blockOrder...),
+		ords:       append(make([]int32, 0, len(r.ords)+1), r.ords...),
 	}
 	for k, v := range r.ids {
 		c.ids[k] = v
@@ -95,18 +97,39 @@ func (r *relation) mutable() *relation {
 	return c
 }
 
-// insert adds a fact known to be absent, updating the core structures
-// eagerly and the lazy structures incrementally where they exist. Must only
-// be called on an exclusively owned relation (after mutable).
-func (r *relation) insert(f Fact) {
-	idx := len(r.facts)
-	r.facts = append(r.facts, f)
-	r.ids[f.ID()] = idx
-	bid := f.BlockID()
+// index returns the position of f in r.facts. The probe encodes f on the
+// stack and allocates nothing.
+func (r *relation) index(f Fact) (int, bool) {
+	var buf [encodingBuf]byte
+	b, _ := appendEncoding(buf[:0], f)
+	i, ok := r.ids[string(b)]
+	return i, ok
+}
+
+// blockOf returns the block holding f's key as the shared live slice, nil
+// when there is none. Allocation-free like index.
+func (r *relation) blockOf(f Fact) []Fact {
+	var buf [encodingBuf]byte
+	b, _ := appendEncoding(buf[:0], f.keyOnly())
+	return r.blocks[string(b)]
+}
+
+// insert adds a fact known to be absent, given its ID and BlockID, updating
+// the core structures eagerly and the lazy structures incrementally where
+// they exist. Must only be called on an exclusively owned relation (after
+// mutable).
+func (r *relation) insert(f Fact, id, bid string) {
 	blk, existed := r.blocks[bid]
-	if !existed {
+	ord := int32(len(r.blockOrder))
+	if existed {
+		first, _ := r.index(blk[0])
+		ord = r.ords[first]
+	} else {
 		r.blockOrder = append(r.blockOrder, bid)
 	}
+	r.ids[id] = len(r.facts)
+	r.facts = append(r.facts, f)
+	r.ords = append(r.ords, ord)
 	r.blocks[bid] = append(blk, f)
 	r.imu.Lock()
 	if r.postings != nil {
@@ -123,21 +146,20 @@ func (r *relation) insert(f Fact) {
 	r.imu.Unlock()
 }
 
-// remove deletes the fact at r.ids[f.ID()], which must exist. Must only be
-// called on an exclusively owned relation. Reports whether the fact's block
-// became empty.
-func (r *relation) remove(f Fact) (blockEmptied bool) {
-	id := f.ID()
+// remove deletes the fact with the given ID and BlockID, which must exist.
+// Must only be called on an exclusively owned relation. Reports whether the
+// fact's block became empty.
+func (r *relation) remove(f Fact, id, bid string) (blockEmptied bool) {
 	idx := r.ids[id]
-	copy(r.facts[idx:], r.facts[idx+1:])
-	r.facts = r.facts[:len(r.facts)-1]
+	ord := r.ords[idx]
+	r.facts = append(r.facts[:idx], r.facts[idx+1:]...)
+	r.ords = append(r.ords[:idx], r.ords[idx+1:]...)
 	delete(r.ids, id)
 	for gid, gi := range r.ids {
 		if gi > idx {
 			r.ids[gid] = gi - 1
 		}
 	}
-	bid := f.BlockID()
 	blk := r.blocks[bid]
 	kept := blk[:0]
 	for _, g := range blk {
@@ -147,10 +169,10 @@ func (r *relation) remove(f Fact) (blockEmptied bool) {
 	}
 	if len(kept) == 0 {
 		delete(r.blocks, bid)
-		for i, b := range r.blockOrder {
-			if b == bid {
-				r.blockOrder = append(r.blockOrder[:i], r.blockOrder[i+1:]...)
-				break
+		r.blockOrder = append(r.blockOrder[:ord], r.blockOrder[ord+1:]...)
+		for i, o := range r.ords {
+			if o > ord {
+				r.ords[i] = o - 1
 			}
 		}
 		blockEmptied = true
@@ -220,13 +242,24 @@ func (r *relation) blockListOf() [][]Fact {
 }
 
 // blockDigestsLocked builds the per-block digest map on first use. The
-// caller must hold imu. Once built, insert/remove maintain the map
-// incrementally, so after a mutation only the touched block is re-hashed.
+// caller must hold imu. One digester hashes every block, and the hex
+// digests are written into one buffer that becomes a single string. Once
+// built, insert/remove maintain the map incrementally, so after a mutation
+// only the touched block is re-hashed.
 func (r *relation) blockDigestsLocked() map[string]string {
 	if r.blockDigests == nil {
-		r.blockDigests = make(map[string]string, len(r.blocks))
-		for bid, blk := range r.blocks {
-			r.blockDigests[bid] = computeDigest(blk)
+		var g digester
+		var hexes strings.Builder
+		hexes.Grow(hexDigestLen * len(r.blockOrder))
+		var hx [hexDigestLen]byte
+		for _, bid := range r.blockOrder {
+			g.block(r.blocks[bid])
+			hexes.Write(g.appendHex(hx[:0]))
+		}
+		all := hexes.String()
+		r.blockDigests = make(map[string]string, len(r.blockOrder))
+		for i, bid := range r.blockOrder {
+			r.blockDigests[bid] = all[i*hexDigestLen : (i+1)*hexDigestLen]
 		}
 	}
 	return r.blockDigests

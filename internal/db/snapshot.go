@@ -49,11 +49,8 @@ func ReadSnapshot(r io.Reader) (*DB, error) {
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("db: unsupported snapshot version %d", s.Version)
 	}
-	out := New()
-	for _, f := range s.Facts {
-		if err := out.Add(f); err != nil {
-			return nil, fmt.Errorf("db: snapshot contains invalid fact: %w", err)
-		}
+	if err := checkFacts(s.Facts); err != nil {
+		return nil, fmt.Errorf("db: snapshot contains invalid fact: %w", err)
 	}
-	return out, nil
+	return load(s.Facts), nil
 }

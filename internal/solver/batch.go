@@ -38,43 +38,39 @@ func init() {
 // planMemo compiles each distinct canonical query once per batch. When the
 // caller supplied a PlanSource it is consulted first (so batches share the
 // process-wide cache); otherwise compilation results — including failures —
-// are memoized locally for the duration of the batch.
+// are memoized locally for the duration of the batch. Concurrent items with
+// the same canonical query share one call: the first compiles, the rest
+// wait for its result (per-key singleflight, as in internal/plan).
 type planMemo struct {
 	source PlanSource
 	mu     sync.Mutex
-	plans  map[string]*Plan
-	errs   map[string]error
+	calls  map[string]*planCall
+}
+
+// planCall is one canonical query's compilation, run once.
+type planCall struct {
+	once sync.Once
+	p    *Plan
+	err  error
 }
 
 func (m *planMemo) get(ctx context.Context, q cq.Query) (*Plan, error) {
 	key := cq.CanonicalKey(q)
 	m.mu.Lock()
-	if p, ok := m.plans[key]; ok {
-		m.mu.Unlock()
-		return p, nil
-	}
-	if err, ok := m.errs[key]; ok {
-		m.mu.Unlock()
-		return nil, err
+	c, ok := m.calls[key]
+	if !ok {
+		c = &planCall{}
+		m.calls[key] = c
 	}
 	m.mu.Unlock()
-
-	var p *Plan
-	var err error
-	if m.source != nil {
-		p, err = m.source.Get(ctx, q)
-	} else {
-		p, err = CompilePlan(q)
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err != nil {
-		m.errs[key] = err
-		return nil, err
-	}
-	m.plans[key] = p
-	return p, nil
+	c.once.Do(func() {
+		if m.source != nil {
+			c.p, c.err = m.source.Get(ctx, q)
+		} else {
+			c.p, c.err = CompilePlan(q)
+		}
+	})
+	return c.p, c.err
 }
 
 // SolveBatch decides a batch of instances on the bounded worker pool,
@@ -97,11 +93,7 @@ func SolveBatch(ctx context.Context, items []BatchItem, opts ...Option) []BatchR
 			results[i].Err = context.Canceled // overwritten when the item runs
 		}
 	}
-	memo := &planMemo{
-		source: cfg.plans,
-		plans:  make(map[string]*Plan),
-		errs:   make(map[string]error),
-	}
+	memo := &planMemo{source: cfg.plans, calls: make(map[string]*planCall)}
 	var obsMu sync.Mutex
 	_ = shard.ForEach(ctx, len(items), func(i int) {
 		ictx, sp := obs.StartSpan(ctx, "batch/item")
