@@ -241,24 +241,16 @@ func (d *DB) Restrict(keep func(Fact) bool) *DB {
 	return load(kept)
 }
 
-// PartitionFacts splits the database into n sub-databases in one validated
-// pass: fact i goes to part label(i, f), and labels outside [0, n) drop the
-// fact. Each part preserves the original insertion order, so partitions are
-// deterministic for a given database and label function. The shard layer
-// uses this to materialize all of a decomposition's sub-instances in O(facts)
-// instead of one Restrict scan per shard.
-func (d *DB) PartitionFacts(n int, label func(i int, f Fact) int) []*DB {
-	groups := make([][]Fact, n)
-	for i, f := range d.facts {
-		if g := label(i, f); g >= 0 && g < n {
-			groups[g] = append(groups[g], f)
-		}
+// Subset returns the sub-database of the facts at the given indexes into
+// Facts(), in one load. Increasing indexes keep the original insertion
+// order, so Subset(idx) equals Restrict of the same facts. The shard layer
+// builds one shard with it, only when the shard is actually solved.
+func (d *DB) Subset(idx []int) *DB {
+	facts := make([]Fact, len(idx))
+	for k, i := range idx {
+		facts[k] = d.facts[i]
 	}
-	parts := make([]*DB, n)
-	for g, facts := range groups {
-		parts[g] = load(facts)
-	}
-	return parts
+	return load(facts)
 }
 
 // WithoutBlock returns the database with the entire block of f removed

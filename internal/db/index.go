@@ -111,6 +111,20 @@ func computeDigest(facts []Fact) string {
 // same primitive and inherit its collision resistance.
 func HashParts(parts []string) string { return hashParts(parts) }
 
+// AppendPart appends one HashParts part to b: HashParts(parts) is
+// SumParts of the parts appended in order. A caller hashing many part lists
+// builds each one in a single reused buffer this way instead of a []string.
+func AppendPart(b []byte, part string) []byte { return appendPart(b, part) }
+
+// SumParts returns the hex digest of parts appended with AppendPart, the
+// same string HashParts returns for them.
+func SumParts(b []byte) string {
+	sum := sha256.Sum256(b)
+	var hx [hexDigestLen]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
+}
+
 // hashParts hashes a sequence of strings with per-entry length prefixes so
 // concatenation is unambiguous, returning the hex digest.
 func hashParts(parts []string) string {
@@ -196,6 +210,19 @@ func (d *DB) BlockDigests(rel string) map[string]string {
 		return nil
 	}
 	return r.blockDigestsOf()
+}
+
+// BlockOrdinals returns rel's block structure without building a string
+// or a block slice: ords[k] is the block ordinal of the k-th fact of rel
+// (RelationFacts order, which is Facts() order filtered to rel) and
+// bids[o] is the block ID (Fact.BlockID) of ordinal o. Both slices are
+// shared and must be treated as read-only; nil when rel is absent.
+func (d *DB) BlockOrdinals(rel string) (ords []int32, bids []string) {
+	r, ok := d.rels[rel]
+	if !ok {
+		return nil, nil
+	}
+	return r.ords, r.blockOrder
 }
 
 // RelationFacts returns the facts of the given relation in insertion order

@@ -9,7 +9,7 @@ import (
 
 // Every database built from a list of facts — parsed text, a snapshot, a
 // JSON fact list, FromFacts, and the derived databases of Restrict,
-// PartitionFacts and RepairDB — goes through load, one bulk pass. Add and
+// Subset and RepairDB — goes through load, one bulk pass. Add and
 // Remove are the incremental mutations of an existing database.
 
 // Parse reads a database in the textual format: one fact per line (or

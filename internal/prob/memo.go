@@ -1,8 +1,8 @@
 package prob
 
 import (
-	"context"
 	"math/big"
+	"slices"
 	"sync"
 
 	"github.com/cqa-go/certainty/internal/cq"
@@ -134,23 +134,21 @@ func (cm *CountMemo) Stats() lru.Stats {
 }
 
 // countShardsMemo is countShards with per-shard memoization: shards whose
-// fingerprints hit the memo reuse their tallies, only the misses are
-// enumerated (in parallel on the worker pool), and the fresh tallies are
-// memoized afterwards. The returned matrix is identical to countShards'.
+// fingerprints hit the memo reuse their tallies and are never built, only
+// the misses are built and enumerated (in parallel on the worker pool), and
+// the fresh tallies are memoized afterwards. The returned matrix is
+// identical to countShards'.
 func countShardsMemo(dec *shard.Decomposition, d *db.DB, memo *CountMemo) [][]shardCounts {
 	if memo == nil {
 		return countShards(dec)
 	}
-	type flatShard struct {
-		comp, idx int
-		fp        string
-	}
 	var flat []flatShard
 	counts := make([][]shardCounts, len(dec.Components))
-	for j, shards := range dec.Shards {
+	for j, shards := range dec.FactIndexes {
 		counts[j] = make([]shardCounts, len(shards))
+		fpr := dec.Fingerprinter(d, j)
 		for i := range shards {
-			fp := dec.ShardFingerprint(d, j, i)
+			fp := fpr.Fingerprint(i)
 			if e, ok := memo.get(fp); ok {
 				counts[j][i] = shardCounts{repairs: e.repairs, satisfying: e.satisfying}
 				continue
@@ -158,20 +156,13 @@ func countShardsMemo(dec *shard.Decomposition, d *db.DB, memo *CountMemo) [][]sh
 			flat = append(flat, flatShard{comp: j, idx: i, fp: fp})
 		}
 	}
-	_ = shard.ForEach(context.Background(), len(flat), func(k int) {
-		fs := flat[k]
-		di := dec.Shards[fs.comp][fs.idx]
-		counts[fs.comp][fs.idx] = shardCounts{
-			repairs:    di.NumRepairs(),
-			satisfying: CountSatisfyingRepairs(dec.Components[fs.comp], di),
-		}
-	})
+	countFlat(dec, flat, counts)
 	for _, fs := range flat {
 		sc := counts[fs.comp][fs.idx]
 		memo.put(fs.fp, countEntry{
 			repairs:    sc.repairs,
 			satisfying: sc.satisfying,
-			blocks:     dec.Blocks[fs.comp][fs.idx],
+			blocks:     slices.Clone(dec.Blocks[fs.comp][fs.idx]), // not the decomposition's whole array
 		})
 	}
 	return counts

@@ -21,24 +21,37 @@ type shardCounts struct {
 // exponential ♯CERTAINTY ground truth; the decomposition is what shrinks
 // each exponent from "all blocks" to "blocks of one shard".
 func countShards(dec *shard.Decomposition) [][]shardCounts {
-	type flatShard struct{ comp, idx int }
 	var flat []flatShard
 	counts := make([][]shardCounts, len(dec.Components))
-	for j, shards := range dec.Shards {
+	for j, shards := range dec.FactIndexes {
 		counts[j] = make([]shardCounts, len(shards))
 		for i := range shards {
 			flat = append(flat, flatShard{comp: j, idx: i})
 		}
 	}
+	countFlat(dec, flat, counts)
+	return counts
+}
+
+// flatShard addresses shard idx of component comp; fp is its fingerprint
+// when a count memo is consulted.
+type flatShard struct {
+	comp, idx int
+	fp        string
+}
+
+// countFlat enumerates the given shards in parallel on the worker pool,
+// building each shard's database inside the worker that counts it, and
+// stores the tallies into counts.
+func countFlat(dec *shard.Decomposition, flat []flatShard, counts [][]shardCounts) {
 	_ = shard.ForEach(context.Background(), len(flat), func(k int) {
 		fs := flat[k]
-		di := dec.Shards[fs.comp][fs.idx]
+		di := dec.Shard(fs.comp, fs.idx)
 		counts[fs.comp][fs.idx] = shardCounts{
 			repairs:    di.NumRepairs(),
 			satisfying: CountSatisfyingRepairs(dec.Components[fs.comp], di),
 		}
 	})
-	return counts
 }
 
 // CountSatisfyingSharded counts the repairs of d satisfying q — the same

@@ -32,24 +32,55 @@ import (
 // canonical component key scopes the address to the query, so one memo can
 // safely serve every query shape.
 func (dec *Decomposition) ShardFingerprint(d *db.DB, comp, idx int) string {
-	bids := dec.Blocks[comp][idx]
-	parts := make([]string, 0, 1+2*len(bids))
-	parts = append(parts, dec.componentKey(comp))
-	for _, bid := range bids {
-		parts = append(parts, bid, d.BlockDigests(dec.blockRel[bid])[bid])
-	}
-	return db.HashParts(parts)
+	return dec.Fingerprinter(d, comp).Fingerprint(idx)
 }
 
 // ComponentFingerprints returns the fingerprints of every shard of
-// component comp, in shard order — the batch the solver's memo pre-pass
-// looks up before fanning out.
+// component comp, in shard order.
 func (dec *Decomposition) ComponentFingerprints(d *db.DB, comp int) []string {
-	fps := make([]string, len(dec.Shards[comp]))
+	fp := dec.Fingerprinter(d, comp)
+	fps := make([]string, len(dec.Blocks[comp]))
 	for i := range fps {
-		fps[i] = dec.ShardFingerprint(d, comp, i)
+		fps[i] = fp.Fingerprint(i)
 	}
 	return fps
+}
+
+// Fingerprinter computes the shard fingerprints of one component one at a
+// time, through one reused buffer, so a caller can stop early: the memo
+// pre-pass of delta re-solve hashes shards only until a memoized certain
+// shard settles the component. Not safe for concurrent use.
+type Fingerprinter struct {
+	dec  *Decomposition
+	d    *db.DB
+	comp int
+	key  string
+	buf  []byte
+}
+
+// Fingerprinter returns the fingerprinter of component comp against the
+// parent database d.
+func (dec *Decomposition) Fingerprinter(d *db.DB, comp int) *Fingerprinter {
+	return &Fingerprinter{dec: dec, d: d, comp: comp, key: dec.componentKey(comp)}
+}
+
+// Fingerprint returns ShardFingerprint of shard idx: db.HashParts over the
+// component key and the shard's sorted (block ID, block digest) pairs.
+func (fp *Fingerprinter) Fingerprint(idx int) string {
+	b := db.AppendPart(fp.buf[:0], fp.key)
+	rels := fp.dec.blockRels[fp.comp][idx]
+	var digests map[string]string
+	rel := "" // relation names are never empty
+	for k, bid := range fp.dec.Blocks[fp.comp][idx] {
+		if rels[k] != rel {
+			rel = rels[k]
+			digests = fp.d.BlockDigests(rel)
+		}
+		b = db.AppendPart(b, bid)
+		b = db.AppendPart(b, digests[bid])
+	}
+	fp.buf = b
+	return db.SumParts(b)
 }
 
 // componentKey memoizes the canonical key of component comp; queries equal

@@ -455,3 +455,84 @@ func TestResolveReusesAcrossMutations(t *testing.T) {
 		t.Errorf("report after undo = %+v, want 4 reused / 0 recomputed / 1 invalidated", rep2)
 	}
 }
+
+// chainComponents returns n independent, never-certain chain components
+// for R(x | y), S(y | z): component i holds the R block
+// {R(a_i | b_i), R(a_i | x_i)} and the S block {S(b_i | c_i)}.
+func chainComponents(n int) *db.DB {
+	facts := make([]db.Fact, 0, 3*n)
+	for i := 0; i < n; i++ {
+		a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		facts = append(facts, db.NewFact("R", 1, a, b), db.NewFact("R", 1, a, fmt.Sprintf("x%d", i)),
+			db.NewFact("S", 1, b, fmt.Sprintf("c%d", i)))
+	}
+	return db.MustFromFacts(facts...)
+}
+
+// TestResolveMaterializesOnlyRecomputedShards: on 1024 components, a
+// one-block Resolve builds exactly the shard databases it recomputes — one
+// — and a Resolve whose component a memoized certain shard settles builds
+// none, while every other shard's verdict comes from the memo.
+func TestResolveMaterializesOnlyRecomputedShards(t *testing.T) {
+	ctx := context.Background()
+	materialized := obs.Default.Counter("shard_materialized_total")
+	p, err := CompilePlan(cq.MustParseQuery("R(x | y), S(y | z)"))
+	if err != nil {
+		t.Fatalf("CompilePlan: %v", err)
+	}
+	d := chainComponents(1024)
+	memo := NewShardMemo(0, nil)
+	before := materialized.Value()
+	if _, rep, err := p.Resolve(ctx, d, Delta{}, memo, 1<<10, Options{}); err != nil {
+		t.Fatalf("cold Resolve: %v", err)
+	} else if got := materialized.Value() - before; rep.ShardsRecomputed != 1024 || got != 1024 {
+		t.Fatalf("cold Resolve built %d shards, report %+v; want 1024 of each", got, rep)
+	}
+
+	// Each write is a hosted-style clone plus one block mutation.
+	write := func(ins, del []db.Fact) Delta {
+		d = d.Clone()
+		for _, f := range ins {
+			if err := d.Add(f); err != nil {
+				t.Fatalf("Add: %v", err)
+			}
+		}
+		for _, f := range del {
+			d.Remove(f)
+		}
+		return Delta{Ins: ins, Del: del}
+	}
+	resolve := func(dl Delta, want Outcome, wantRep DeltaReport, wantBuilt uint64) {
+		t.Helper()
+		before := materialized.Value()
+		v, rep, err := p.Resolve(ctx, d, dl, memo, 1<<10, Options{})
+		if err != nil {
+			t.Fatalf("Resolve: %v", err)
+		}
+		built := materialized.Value() - before
+		if v.Outcome != want || rep != wantRep || built != wantBuilt {
+			t.Fatalf("Resolve: outcome %v, report %+v, %d shards built; want %v, %+v, %d",
+				v.Outcome, rep, built, want, wantRep, wantBuilt)
+		}
+		if uint64(rep.ShardsRecomputed) != built {
+			t.Fatalf("built %d shard databases for %d recomputed shards", built, rep.ShardsRecomputed)
+		}
+	}
+
+	// A new fact in component 5's S block: one shard recomputed and built.
+	grow := db.NewFact("S", 1, "b5", "c5'")
+	resolve(write([]db.Fact{grow}, nil), OutcomeNotCertain,
+		DeltaReport{ShardsReused: 1023, ShardsRecomputed: 1, Invalidated: 1}, 1)
+
+	// Completing component 0's chain makes it certain: its new S block
+	// changes its fingerprint, so it is recomputed and built.
+	settle := db.NewFact("S", 1, "x0", "c0")
+	resolve(write([]db.Fact{settle}, nil), OutcomeCertain,
+		DeltaReport{ShardsReused: 1023, ShardsRecomputed: 1}, 1)
+
+	// Undoing the component 5 write: component 0, first in shard order,
+	// hits its memoized certain verdict and settles the disjunction before
+	// the touched shard is fingerprinted, so nothing is built.
+	resolve(write(nil, []db.Fact{grow}), OutcomeCertain,
+		DeltaReport{ShardsReused: 1, Invalidated: 1}, 0)
+}

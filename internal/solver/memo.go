@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/cqa-go/certainty/internal/lru"
@@ -88,11 +89,14 @@ func (sm *ShardMemo) Contains(fp string) bool {
 
 // Put memoizes a conclusive shard outcome under fingerprint fp, indexing it
 // by the shard's block IDs. OutcomeUnknown is dropped (budget-dependent,
-// see the type comment).
+// see the type comment). The entry keeps its own copy of blocks: a
+// decomposition lays out every shard's block list in one array, and an
+// entry must not pin all of it.
 func (sm *ShardMemo) Put(fp string, o Outcome, blocks []string) {
 	if o != OutcomeCertain && o != OutcomeNotCertain {
 		return
 	}
+	blocks = slices.Clone(blocks)
 	sm.mu.Lock()
 	evictedFP, evicted, wasEvicted := sm.c.PutEvicted(fp, shardMemoEntry{outcome: o, blocks: blocks})
 	if wasEvicted {

@@ -23,6 +23,22 @@ func TestShardMemoDropsUnknown(t *testing.T) {
 	}
 }
 
+// TestShardMemoCopiesBlocks: an entry keeps its own block list. The
+// caller's list is a window into one decomposition-wide array; were it
+// kept, a later write to that array would change which blocks the entry
+// is unindexed from on eviction, leaving a stale index entry behind.
+func TestShardMemoCopiesBlocks(t *testing.T) {
+	m := NewShardMemo(1, nil)
+	all := []string{"R/a", "R/b"}
+	m.Put("fp", OutcomeNotCertain, all[1:2])
+	all[1] = "R/z"
+	m.Put("other", OutcomeNotCertain, []string{"R/c"}) // evicts fp
+	m.Put("fp", OutcomeNotCertain, []string{"R/c"})    // evicts other
+	if removed := m.Invalidate([]string{"R/b"}); removed != 0 {
+		t.Fatalf("invalidating R/b removed %d entries; the only entry covers R/c", removed)
+	}
+}
+
 func TestShardMemoEvictionUnindexes(t *testing.T) {
 	m := NewShardMemo(2, nil)
 	m.Put("fp1", OutcomeCertain, []string{"R/a"})

@@ -122,15 +122,13 @@ type shardOutcome struct {
 	solved  bool // false when the fan-out was cancelled before this shard ran
 }
 
-// memoScope is the per-component view of the shard memo handed to
-// solveComponent: the memo itself, the component's shard fingerprints and
-// block-ID lists, and the report the reuse is accounted into. nil disables
-// memoization for the component.
+// memoScope is the shard memo as handed to solveComponent: the memo
+// itself, the database the shard fingerprints are computed against, and the
+// report the reuse is accounted into. nil disables memoization.
 type memoScope struct {
-	memo   *ShardMemo
-	fps    []string
-	blocks [][]string
-	rep    *DeltaReport
+	memo *ShardMemo
+	d    *db.DB
+	rep  *DeltaReport
 }
 
 // shardJoin does the decomposition, the fan-out, and the combine. It runs
@@ -184,20 +182,15 @@ func (p *Plan) shardJoin(ctx context.Context, d *db.DB, maxShards int, opts Opti
 
 	// Conjunction across query components, evaluated in order with early
 	// exit: one not-certain component settles the whole instance.
+	var mc *memoScope
+	if useMemo {
+		mc = &memoScope{memo: memo, d: execD, rep: rep}
+	}
 	outcome := OutcomeCertain
 	var firstCut error
 	var totalSteps int64
 	for j := range dec.Components {
-		var mc *memoScope
-		if useMemo {
-			mc = &memoScope{
-				memo:   memo,
-				fps:    dec.ComponentFingerprints(execD, j),
-				blocks: dec.Blocks[j],
-				rep:    rep,
-			}
-		}
-		cv, steps, err := solveComponent(ctx, plans[j], dec.Shards[j], j, shardOpts, mc)
+		cv, steps, err := solveComponent(ctx, plans[j], dec, j, shardOpts, mc)
 		totalSteps += steps
 		if err != nil {
 			return Verdict{}, totalSteps, err
@@ -281,26 +274,32 @@ func (p *Plan) execStage() *Plan {
 // shards on the worker pool: any certain shard settles the component
 // (remaining shards are cancelled), all-not-certain shards make it not
 // certain, anything else — a cut-off shard, or a fan-out stopped by the
-// caller's deadline — leaves it unknown with the first cutoff cause.
+// caller's deadline — leaves it unknown with the first cutoff cause. Each
+// shard's database is built inside the worker that solves it.
 //
-// With a memo scope, a pre-pass first resolves every shard whose
-// fingerprint hits the memo: a memoized certain shard settles the component
-// with zero solves, memoized not-certain shards drop out of the fan-out,
-// and only the misses are actually solved — whose conclusive outcomes are
-// memoized afterwards. Reuse changes scheduling only; the combine below
-// sees exactly the outcomes a full fan-out would have produced.
-func solveComponent(ctx context.Context, pj *Plan, shards []*db.DB, compIdx int, shardOpts Options, mc *memoScope) (shardOutcome, int64, error) {
-	if len(shards) == 0 {
+// With a memo scope, a pre-pass first fingerprints the shards in order and
+// resolves every one that hits the memo: a memoized certain shard settles
+// the component with zero solves (and stops the fingerprinting), memoized
+// not-certain shards drop out of the fan-out, and only the misses are
+// actually built and solved — whose conclusive outcomes are memoized
+// afterwards. Reuse changes scheduling only; the combine below sees exactly
+// the outcomes a full fan-out would have produced.
+func solveComponent(ctx context.Context, pj *Plan, dec *shard.Decomposition, compIdx int, shardOpts Options, mc *memoScope) (shardOutcome, int64, error) {
+	n := len(dec.FactIndexes[compIdx])
+	if n == 0 {
 		// No facts for this component's relations: no embedding can exist,
 		// so the component is falsified by every repair (components are
 		// non-empty queries).
 		return shardOutcome{outcome: OutcomeNotCertain, solved: true}, 0, nil
 	}
-	results := make([]shardOutcome, len(shards))
-	pending := make([]int, 0, len(shards))
+	results := make([]shardOutcome, n)
+	pending := make([]int, 0, n)
+	var fps []string // fingerprints of the pending shards, by pending position
 	if mc != nil {
-		for i := range shards {
-			if o, ok := mc.memo.Get(mc.fps[i]); ok {
+		fpr := dec.Fingerprinter(mc.d, compIdx)
+		for i := range n {
+			fp := fpr.Fingerprint(i)
+			if o, ok := mc.memo.Get(fp); ok {
 				results[i] = shardOutcome{outcome: o, solved: true}
 				mc.rep.ShardsReused++
 				if o == OutcomeCertain {
@@ -310,9 +309,10 @@ func solveComponent(ctx context.Context, pj *Plan, shards []*db.DB, compIdx int,
 				continue
 			}
 			pending = append(pending, i)
+			fps = append(fps, fp)
 		}
 	} else {
-		for i := range shards {
+		for i := range n {
 			pending = append(pending, i)
 		}
 	}
@@ -323,8 +323,8 @@ func solveComponent(ctx context.Context, pj *Plan, shards []*db.DB, compIdx int,
 		sctx, sp := obs.StartSpan(fanCtx, "shard/solve")
 		sp.SetInt("component", int64(compIdx))
 		sp.SetInt("shard", int64(i))
-		sp.SetInt("facts", int64(shards[i].Len()))
-		v, err := pj.SolveCtx(sctx, shards[i], shardOpts)
+		sp.SetInt("facts", int64(len(dec.FactIndexes[compIdx][i])))
+		v, err := pj.SolveCtx(sctx, dec.Shard(compIdx, i), shardOpts)
 		if err != nil {
 			results[i] = shardOutcome{err: err, solved: true}
 			sp.SetAttr("error", err.Error())
@@ -351,14 +351,14 @@ func solveComponent(ctx context.Context, pj *Plan, shards []*db.DB, compIdx int,
 		// Account and memoize after the fan-out, on one goroutine: the
 		// report is not written concurrently, and only conclusive,
 		// error-free outcomes enter the memo.
-		for _, i := range pending {
+		for k, i := range pending {
 			r := results[i]
 			if !r.solved {
 				continue
 			}
 			mc.rep.ShardsRecomputed++
 			if r.err == nil && (r.outcome == OutcomeCertain || r.outcome == OutcomeNotCertain) {
-				mc.memo.Put(mc.fps[i], r.outcome, mc.blocks[i])
+				mc.memo.Put(fps[k], r.outcome, dec.Blocks[compIdx][i])
 			}
 		}
 	}
