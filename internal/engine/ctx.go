@@ -73,37 +73,5 @@ func EvalCtx(ctx context.Context, q cq.Query, d *db.DB) (bool, error) {
 // polynomial, but its embedding enumeration can still dominate on large
 // databases; the same governor that bounds the enclosing search bounds it.
 func PurifyCtx(ctx context.Context, q cq.Query, d *db.DB) (*db.DB, error) {
-	if internedOn.Load() {
-		return purifyInterned(govern.From(ctx), q, d)
-	}
-	cur := d
-	for {
-		used := make(map[string]struct{}, cur.Len())
-		_, err := EachEmbeddingCtx(ctx, q, cur, func(v cq.Valuation) bool {
-			for _, a := range q.Atoms {
-				f, ok := db.FactFromAtom(a.Substitute(v))
-				if !ok {
-					continue
-				}
-				used[f.ID()] = struct{}{}
-			}
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-		removeBlocks := make(map[string]struct{})
-		for _, f := range cur.Facts() {
-			if _, ok := used[f.ID()]; !ok {
-				removeBlocks[f.BlockID()] = struct{}{}
-			}
-		}
-		if len(removeBlocks) == 0 {
-			return cur, nil
-		}
-		cur = cur.Restrict(func(f db.Fact) bool {
-			_, drop := removeBlocks[f.BlockID()]
-			return !drop
-		})
-	}
+	return purifyInterned(govern.From(ctx), q, d)
 }

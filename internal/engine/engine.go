@@ -86,35 +86,17 @@ func candidates(a cq.Atom, binding cq.Valuation, d *db.DB) []db.Fact {
 	return d.RelationFacts(a.Rel)
 }
 
-// orderAtoms returns an evaluation order: start from the atom with the
-// fewest matching facts, then greedily prefer atoms with the most variables
-// already bound (so the block index applies as often as possible).
+// orderAtoms returns the evaluation order of q's atoms on d (see
+// atomOrder), nil for the empty query.
 func orderAtoms(q cq.Query, d *db.DB) []int {
-	n := q.Len()
-	if n == 0 {
-		// The empty query has no atoms to order; without this guard the
-		// selection loop below would index q.Atoms[-1].
+	if q.Len() == 0 {
 		return nil
 	}
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	bound := make(cq.VarSet)
-	for len(order) < n {
-		best, bestBound, bestSize := -1, -1, -1
-		for i, a := range q.Atoms {
-			if used[i] {
-				continue
-			}
-			b := a.Vars().Intersect(bound).Len()
-			size := d.RelationSize(a.Rel)
-			if best == -1 || b > bestBound || (b == bestBound && size < bestSize) {
-				best, bestBound, bestSize = i, b, size
-			}
-		}
-		used[best] = true
-		order = append(order, best)
-		bound.AddAll(q.Atoms[best].Vars())
+	size := make([]int, q.Len())
+	for i, a := range q.Atoms {
+		size[i] = d.RelationSize(a.Rel)
 	}
+	order, _ := atomOrder(nil, nil, q, nil, size)
 	return order
 }
 
@@ -195,13 +177,12 @@ func EvalRepair(q cq.Query, repair []db.Fact) bool {
 // Purify implements Lemma 1: it returns a database purified relative to q —
 // every fact A of the result participates in some embedding θ with
 // A ∈ θ(q) ⊆ result — such that the result is in CERTAINTY(q) iff d is.
-// Whole blocks of irrelevant facts are removed until a fixpoint.
+// Whole blocks of irrelevant facts are removed until a fixpoint, on a fact
+// mask over d's interned view (see PurifyMask); the result is built in one
+// load, or is d itself when nothing is removed.
 func Purify(q cq.Query, d *db.DB) *db.DB {
-	if internedOn.Load() {
-		out, _ := purifyInterned(nil, q, d)
-		return out
-	}
-	return PurifyIndexed(q, d)
+	out, _ := purifyInterned(nil, q, d)
+	return out
 }
 
 // PurifyIndexed is the string-indexed reference implementation of Purify:

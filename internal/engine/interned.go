@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +22,8 @@ var internedOn atomic.Bool
 func init() { internedOn.Store(true) }
 
 // SetInterned selects (true, the default) or deselects the interned data
-// plane for this package's enumeration hot paths.
+// plane for this package's enumeration hot paths (EachEmbedding, Eval and
+// their Ctx forms). Purification runs on fact masks either way.
 func SetInterned(on bool) { internedOn.Store(on) }
 
 // InternedEnabled reports whether the interned data plane is selected.
@@ -53,69 +55,247 @@ type iAtom struct {
 	keyReady bool
 	// det lists the determined positions at entry, for posting selection.
 	det []int
+	// mask, when non-nil, holds the selected facts of rel (a Mask's words):
+	// unselected candidates are rejected before their node is entered.
+	mask []uint64
+	// ri is the atom's relation index in the compiling Mask (-1 without).
+	ri int
 }
 
 // iProg is a query compiled against one interned view for one atom order.
+// Programs are pooled: the compile buffers survive between enumerations,
+// so a warm compile allocates nothing.
 type iProg struct {
 	atoms  []iAtom
-	vars   []string // slot → variable name
+	vars   []string // slot → variable name; pre-bound variables first
 	maxKey int
 	in     *db.Interned
+
+	q      cq.Query
+	npre   int
+	ri     []int // per query atom: relation index in the Mask, -1 without
+	size   []int // per query atom: relation cardinality, for the atom order
+	order  []int
+	bound  []string
+	bindAt []int // per slot: the level binding it, -1 while unbound
+	args   []iArg
+	dets   []int
 }
 
-// compileInterned lowers q (in the given evaluation order) against the
-// interned view. Constants absent from the view lower to intern.None, which
-// matches nothing — the search still walks the same nodes as the string
-// path (and charges the same governor steps), it just finds no candidates.
-func compileInterned(q cq.Query, order []int, in *db.Interned) *iProg {
-	p := &iProg{atoms: make([]iAtom, len(order)), in: in}
-	slots := make(map[string]uint16, 8)
-	for li, ai := range order {
+var progPool = sync.Pool{New: func() any { return new(iProg) }}
+
+// getProg starts compiling q against the view: slots 0..len(pre)-1 hold
+// the pre-bound variables, which the caller writes into the environment
+// before the search. The caller fills p.size (and p.ri), then lowers.
+func getProg(q cq.Query, pre []string, in *db.Interned) *iProg {
+	p := progPool.Get().(*iProg)
+	p.q, p.in, p.npre, p.maxKey = q, in, len(pre), 0
+	p.vars = append(p.vars[:0], pre...)
+	n := len(q.Atoms)
+	p.ri = growInts(p.ri, n)
+	p.size = growInts(p.size, n)
+	return p
+}
+
+func putProg(p *iProg) {
+	p.q, p.in = cq.Query{}, nil
+	for i := range p.atoms {
+		p.atoms[i] = iAtom{}
+	}
+	progPool.Put(p)
+}
+
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// compileDB compiles q against d's view, unmasked, ordered by d's
+// relation sizes.
+func compileDB(q cq.Query, d *db.DB) *iProg {
+	p := getProg(q, nil, d.Interned())
+	for i, a := range q.Atoms {
+		p.ri[i], p.size[i] = -1, d.RelationSize(a.Rel)
+	}
+	p.lower(nil)
+	return p
+}
+
+// atomOrder is orderAtoms over precomputed relation sizes, with the
+// variables of pre counting as constants: start from the atom with the
+// fewest matching facts, then greedily prefer atoms with the most
+// variables already bound, ties to the smaller relation, then to the
+// earlier atom. order and bound are reused buffers.
+func atomOrder(order []int, bound []string, q cq.Query, pre []string, size []int) ([]int, []string) {
+	order, bound = order[:0], bound[:0]
+	n := len(q.Atoms)
+	for len(order) < n {
+		best, bestBound, bestSize := -1, -1, -1
+		for i, a := range q.Atoms {
+			if slices.Contains(order, i) {
+				continue
+			}
+			b := 0
+			for k, t := range a.Args {
+				if t.IsVar() && !repeatsEarlier(a.Args[:k], t.Value) && slices.Contains(bound, t.Value) {
+					b++
+				}
+			}
+			if best == -1 || b > bestBound || (b == bestBound && size[i] < bestSize) {
+				best, bestBound, bestSize = i, b, size[i]
+			}
+		}
+		order = append(order, best)
+		for _, t := range q.Atoms[best].Args {
+			if t.IsVar() && !slices.Contains(pre, t.Value) && !slices.Contains(bound, t.Value) {
+				bound = append(bound, t.Value)
+			}
+		}
+	}
+	return order, bound
+}
+
+// repeatsEarlier reports whether variable v occurs among args.
+func repeatsEarlier(args []cq.Term, v string) bool {
+	for _, t := range args {
+		if t.IsVar() && t.Value == v {
+			return true
+		}
+	}
+	return false
+}
+
+// slotOf returns the slot of variable v, -1 when it has none yet.
+func (p *iProg) slotOf(v string) int {
+	for s, name := range p.vars {
+		if name == v {
+			return s
+		}
+	}
+	return -1
+}
+
+// lower fixes the atom order from p.size and lowers every atom against
+// the view. Whether a variable is already bound when an atom is reached is
+// statically known once the order is fixed: each argument lowers to a
+// constant id compare, a slot compare, or a slot write — no runtime
+// bound-tracking, no map, no unbinding (a slot is always rewritten before
+// any read). Constants absent from the view lower to intern.None, which
+// matches nothing: the search still walks the same nodes as over a
+// database without them, it just finds no candidates. m, when non-nil,
+// supplies each atom's selection (p.ri indexes it).
+func (p *iProg) lower(m *Mask) {
+	q := p.q
+	p.order, p.bound = atomOrder(p.order, p.bound, q, p.vars[:p.npre], p.size)
+	nargs := 0
+	for _, a := range q.Atoms {
+		nargs += len(a.Args)
+	}
+	p.args = growArgs(p.args, nargs)
+	p.dets = growInts(p.dets, nargs)[:0]
+	if cap(p.atoms) < len(q.Atoms) {
+		p.atoms = make([]iAtom, len(q.Atoms))
+	}
+	p.atoms = p.atoms[:len(q.Atoms)]
+	p.bindAt = p.bindAt[:0]
+	for range p.vars {
+		p.bindAt = append(p.bindAt, -1)
+	}
+	args := p.args
+	for li, ai := range p.order {
 		a := q.Atoms[ai]
-		ia := iAtom{args: make([]iArg, len(a.Args))}
-		if r := in.Rel(a.Rel); r != nil && r.Arity == len(a.Args) && r.KeyLen == a.KeyLen {
+		ia := iAtom{args: args[:len(a.Args):len(a.Args)], ri: p.ri[ai]}
+		args = args[len(a.Args):]
+		var r *db.IRel
+		if m != nil {
+			if ia.ri >= 0 {
+				r = m.rels[ia.ri]
+				ia.mask = m.relWords(ia.ri)
+			}
+		} else {
+			r = p.in.Rel(a.Rel)
+		}
+		if r != nil && r.Arity == len(a.Args) && r.KeyLen == a.KeyLen {
 			ia.rel = r
 		}
-		// Slots below entrySlots were bound by earlier atoms; only those
-		// (and constants) are determined when this level starts. A variable
-		// repeating within this atom (R(x | x)) compares fine during
-		// verification but must not drive candidate selection.
-		entrySlots := uint16(len(p.vars))
+		// A slot bound at an earlier level (or pre-bound) is determined at
+		// entry; one first bound within this atom (R(x | x)) compares fine
+		// during verification but must not drive candidate selection.
+		detStart := len(p.dets)
 		ia.keyReady = true
 		for pos, t := range a.Args {
 			switch {
 			case t.IsConst:
-				id, ok := in.Syms.Lookup(t.Value)
+				id, ok := p.in.Syms.Lookup(t.Value)
 				if !ok {
 					id = intern.None
 				}
 				ia.args[pos] = iArg{kind: argConst, id: id}
-				ia.det = append(ia.det, pos)
+				p.dets = append(p.dets, pos)
 			default:
-				if s, ok := slots[t.Value]; ok {
-					ia.args[pos] = iArg{kind: argBound, slot: s}
-					if s < entrySlots {
-						ia.det = append(ia.det, pos)
+				s := p.slotOf(t.Value)
+				switch {
+				case s >= 0 && s < p.npre:
+					ia.args[pos] = iArg{kind: argBound, slot: uint16(s)}
+					p.dets = append(p.dets, pos)
+				case s >= 0 && p.bindAt[s] >= 0:
+					ia.args[pos] = iArg{kind: argBound, slot: uint16(s)}
+					if p.bindAt[s] < li {
+						p.dets = append(p.dets, pos)
 					} else if pos < a.KeyLen {
 						ia.keyReady = false
 					}
-				} else {
-					s := uint16(len(p.vars))
-					slots[t.Value] = s
-					p.vars = append(p.vars, t.Value)
-					ia.args[pos] = iArg{kind: argBind, slot: s}
+				default:
+					if s < 0 {
+						s = len(p.vars)
+						p.vars = append(p.vars, t.Value)
+						p.bindAt = append(p.bindAt, -1)
+					}
+					p.bindAt[s] = li
+					ia.args[pos] = iArg{kind: argBind, slot: uint16(s)}
 					if pos < a.KeyLen {
 						ia.keyReady = false
 					}
 				}
 			}
 		}
+		ia.det = p.dets[detStart:len(p.dets):len(p.dets)]
 		if a.KeyLen > p.maxKey {
 			p.maxKey = a.KeyLen
 		}
 		p.atoms[li] = ia
 	}
-	return p
+}
+
+func growArgs(s []iArg, n int) []iArg {
+	if cap(s) < n {
+		return make([]iArg, n)
+	}
+	return s[:n]
+}
+
+// run enumerates the embeddings with the pre-bound slots set to pre,
+// calling leaf at every one until it returns false.
+func (p *iProg) run(g *govern.Governor, pre []uint32, leaf func(*iScratch) (bool, error)) (bool, error) {
+	sc := getScratch(p)
+	defer putScratch(sc)
+	copy(sc.env, pre)
+	return p.level(g, sc, 0, leaf)
+}
+
+// exists reports whether some embedding exists, materializing nothing.
+func (p *iProg) exists(g *govern.Governor, pre []uint32) (bool, error) {
+	found := false
+	_, err := p.run(g, pre, func(*iScratch) (bool, error) {
+		found = true
+		return false, nil
+	})
+	if err != nil {
+		return false, err
+	}
+	return found, nil
 }
 
 // iScratch holds every mutable slice one enumeration needs, pooled so a
@@ -263,6 +443,9 @@ func (p *iProg) level(g *govern.Governor, sc *iScratch, li int, leaf func(*iScra
 // read, and shallower levels never read it.
 func (p *iProg) tryFact(g *govern.Governor, sc *iScratch, li int, fi uint32, leaf func(*iScratch) (bool, error)) (bool, error) {
 	ia := &p.atoms[li]
+	if ia.mask != nil && ia.mask[fi>>6]&(1<<(fi&63)) == 0 {
+		return true, nil
+	}
 	for pos := range ia.args {
 		ag := &ia.args[pos]
 		v := ia.rel.Cols[pos][fi]
@@ -297,10 +480,9 @@ func (p *iProg) valuation(sc *iScratch) cq.Valuation {
 // EachEmbedding/EachEmbeddingCtx. g may be nil (no governor accounting,
 // matching the ctx-less string path).
 func eachEmbeddingInterned(g *govern.Governor, q cq.Query, d *db.DB, yield func(cq.Valuation) bool) (bool, error) {
-	p := compileInterned(q, orderAtoms(q, d), d.Interned())
-	sc := getScratch(p)
-	defer putScratch(sc)
-	return p.level(g, sc, 0, func(sc *iScratch) (bool, error) {
+	p := compileDB(q, d)
+	defer putProg(p)
+	return p.run(g, nil, func(sc *iScratch) (bool, error) {
 		return yield(p.valuation(sc)), nil
 	})
 }
@@ -308,75 +490,7 @@ func eachEmbeddingInterned(g *govern.Governor, q cq.Query, d *db.DB, yield func(
 // evalInterned decides d ⊨ q on the interned plane without materializing
 // any valuation.
 func evalInterned(g *govern.Governor, q cq.Query, d *db.DB) (bool, error) {
-	p := compileInterned(q, orderAtoms(q, d), d.Interned())
-	sc := getScratch(p)
-	defer putScratch(sc)
-	found := false
-	_, err := p.level(g, sc, 0, func(*iScratch) (bool, error) {
-		found = true
-		return false, nil
-	})
-	if err != nil {
-		return false, err
-	}
-	return found, nil
-}
-
-// purifyInterned is Purify/PurifyCtx on the interned plane: used facts are
-// marked in per-relation bitsets straight from the matched fact indices
-// (no fact IDs, no map), and the keep predicate resolves each fact's block
-// ordinal with a per-relation cursor over the global insertion order.
-func purifyInterned(g *govern.Governor, q cq.Query, d *db.DB) (*db.DB, error) {
-	cur := d
-	for {
-		if g != nil {
-			// The ctx-less string path enumerates without the counter; the
-			// governed one counts one enumeration per purification round.
-			embeddingEnumerations.Inc()
-		}
-		in := cur.Interned()
-		p := compileInterned(q, orderAtoms(q, cur), in)
-		used := make(map[*db.IRel]bitset, len(p.atoms))
-		for _, ia := range p.atoms {
-			if ia.rel != nil && used[ia.rel] == nil {
-				used[ia.rel] = newBitset(ia.rel.NumFacts())
-			}
-		}
-		sc := getScratch(p)
-		_, err := p.level(g, sc, 0, func(sc *iScratch) (bool, error) {
-			for li := range p.atoms {
-				used[p.atoms[li].rel].set(sc.facts[li])
-			}
-			return true, nil
-		})
-		putScratch(sc)
-		if err != nil {
-			return nil, err
-		}
-		// A block with any unused fact is dropped whole (Lemma 1 removes
-		// blocks, and an unused fact marks its block irrelevant).
-		drop := make(map[string]bitset)
-		total := 0
-		for _, rel := range cur.Relations() {
-			ir := in.Rel(rel)
-			u := used[ir]
-			dropped := newBitset(ir.NumBlocks())
-			for fi := 0; fi < ir.NumFacts(); fi++ {
-				if u == nil || !u.get(uint32(fi)) {
-					dropped.set(ir.BlockOfFact[fi])
-					total++
-				}
-			}
-			drop[rel] = dropped
-		}
-		if total == 0 {
-			return cur, nil
-		}
-		cursor := make(map[string]uint32, len(drop))
-		cur = cur.Restrict(func(f db.Fact) bool {
-			i := cursor[f.Rel]
-			cursor[f.Rel] = i + 1
-			return !drop[f.Rel].get(in.Rel(f.Rel).BlockOfFact[i])
-		})
-	}
+	p := compileDB(q, d)
+	defer putProg(p)
+	return p.exists(g, nil)
 }

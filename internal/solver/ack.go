@@ -3,9 +3,8 @@ package solver
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
@@ -16,51 +15,68 @@ import (
 )
 
 // cycleGraph is the k-partite fact graph of the Theorem 4 algorithm:
-// vertices are (cycle position, constant) pairs, edges come from the
-// R_i facts, and marked cycles C come from the S_k facts.
+// vertices are (cycle position, constant id) pairs of the database's
+// interned view, edges come from the R_i facts, and marked cycles C come
+// from the S_k facts.
 type cycleGraph struct {
-	k      int
-	g      *graph.Digraph
-	ids    map[string]int // encoded (pos, value) → vertex id
-	names  []string       // vertex id → debug name
-	values []string       // vertex id → constant value
-	pos    []int          // vertex id → cycle position
+	k   int
+	g   *graph.Digraph
+	ids map[uint64]int // (pos, id) → vertex id
 }
 
-func newCycleGraph(k int) *cycleGraph {
-	return &cycleGraph{k: k, g: nil, ids: make(map[string]int)}
-}
+func packVertex(pos int, id uint32) uint64 { return uint64(pos)<<32 | uint64(id) }
 
-func (cg *cycleGraph) vertexKey(pos int, value string) string {
-	return strconv.Itoa(pos) + "/" + strconv.Itoa(len(value)) + ":" + value
-}
-
-func (cg *cycleGraph) vertex(pos int, value string) int {
-	key := cg.vertexKey(pos, value)
-	if id, ok := cg.ids[key]; ok {
-		return id
+func (cg *cycleGraph) vertex(pos int, id uint32) int {
+	key := packVertex(pos, id)
+	if v, ok := cg.ids[key]; ok {
+		return v
 	}
-	id := len(cg.names)
-	cg.ids[key] = id
-	cg.names = append(cg.names, fmt.Sprintf("x%d=%s", pos+1, value))
-	cg.values = append(cg.values, value)
-	cg.pos = append(cg.pos, pos)
-	return id
+	v := len(cg.ids)
+	cg.ids[key] = v
+	return v
 }
 
-// normalizeCycle rotates a cycle to start at its smallest vertex id.
-func normalizeCycle(c []int) string {
+// cycleSet is a set of k-cycles, each rotated to start at its smallest
+// vertex and stored as k consecutive vertex ids of flat, sorted.
+type cycleSet struct {
+	k    int
+	flat []int32
+}
+
+func (s *cycleSet) Len() int { return len(s.flat) / s.k }
+
+func (s *cycleSet) Less(i, j int) bool {
+	return slices.Compare(s.at(i), s.at(j)) < 0
+}
+
+func (s *cycleSet) Swap(i, j int) {
+	a, b := s.at(i), s.at(j)
+	for x := range a {
+		a[x], b[x] = b[x], a[x]
+	}
+}
+
+func (s *cycleSet) at(i int) []int32 { return s.flat[i*s.k : (i+1)*s.k] }
+
+// appendRotated appends cycle c to dst rotated to start at its smallest
+// vertex.
+func appendRotated(dst []int32, c []int) []int32 {
 	min := 0
 	for i := range c {
 		if c[i] < c[min] {
 			min = i
 		}
 	}
-	parts := make([]string, len(c))
 	for i := range c {
-		parts[i] = strconv.Itoa(c[(min+i)%len(c)])
+		dst = append(dst, int32(c[(min+i)%len(c)]))
 	}
-	return strings.Join(parts, ",")
+	return dst
+}
+
+// has reports whether the rotated cycle is in the set.
+func (s *cycleSet) has(rotated []int32) bool {
+	i := sort.Search(s.Len(), func(i int) bool { return slices.Compare(s.at(i), rotated) >= 0 })
+	return i < s.Len() && slices.Equal(s.at(i), rotated)
 }
 
 // CertainACk decides db ∈ CERTAINTY(AC(k)) in polynomial time (Theorem 4).
@@ -86,18 +102,12 @@ func CertainACkCtx(ctx context.Context, q cq.Query, shape *core.CycleShape, d *d
 	if shape == nil || shape.SkAtom < 0 {
 		return false, fmt.Errorf("solver: CertainACk requires an AC(k) shape")
 	}
-	d, err := engine.PurifyCtx(ctx, q, d)
-	if err != nil {
+	m, err := purifyAtoms(ctx, q, d)
+	if err != nil || m.Len() == 0 {
 		return false, err
 	}
-	if d.Len() == 0 {
-		return false, nil
-	}
-	cg, comps, err := buildCycleGraph(q, shape, d, true)
-	if err != nil {
-		return false, err
-	}
-	return decideByComponentsCtx(ctx, cg, comps, cg.markedCycles(q, shape, d))
+	cg, comps := buildCycleGraph(q, shape, m)
+	return decideByComponentsCtx(ctx, cg, comps, cg.markedCycles(shape, m))
 }
 
 // CertainCk decides db ∈ CERTAINTY(C(k)) in polynomial time (Corollary 1).
@@ -114,73 +124,85 @@ func CertainCkCtx(ctx context.Context, q cq.Query, shape *core.CycleShape, d *db
 	if shape == nil || shape.SkAtom >= 0 {
 		return false, fmt.Errorf("solver: CertainCk requires a C(k) shape")
 	}
-	d, err := engine.PurifyCtx(ctx, q, d)
-	if err != nil {
+	m, err := purifyAtoms(ctx, q, d)
+	if err != nil || m.Len() == 0 {
 		return false, err
 	}
-	if d.Len() == 0 {
-		return false, nil
-	}
-	cg, comps, err := buildCycleGraph(q, shape, d, false)
-	if err != nil {
-		return false, err
-	}
+	cg, comps := buildCycleGraph(q, shape, m)
 	return decideByComponentsCtx(ctx, cg, comps, nil)
 }
 
-// buildCycleGraph constructs the fact graph and its strong components. When
-// the database is purified, no edge crosses strong components (every fact
-// lies on a cycle witnessed by an embedding); the components are returned
-// as vertex sets.
-func buildCycleGraph(q cq.Query, shape *core.CycleShape, d *db.DB, withSk bool) (*cycleGraph, [][]int, error) {
-	k := shape.K
-	cg := newCycleGraph(k)
-	type pendingEdge struct{ u, v int }
-	var edges []pendingEdge
-	for pos, atomIdx := range shape.CycleAtoms {
-		rel := q.Atoms[atomIdx].Rel
-		for _, f := range d.RelationFacts(rel) {
-			u := cg.vertex(pos, f.Args[0])
-			v := cg.vertex((pos+1)%k, f.Args[1])
-			edges = append(edges, pendingEdge{u, v})
-		}
+// purifyAtoms purifies d relative to the self-join-free query q (Lemma 1)
+// on a fact mask over d's interned view whose relation r is q.Atoms[r]'s.
+func purifyAtoms(ctx context.Context, q cq.Query, d *db.DB) (*engine.Mask, error) {
+	names := make([]string, q.Len())
+	for i, a := range q.Atoms {
+		names[i] = a.Rel
 	}
-	cg.g = graph.New(len(cg.names))
-	for _, e := range edges {
-		cg.g.AddEdge(e.u, e.v)
+	m := engine.NewMask(d, names)
+	if err := engine.PurifyMask(govern.From(ctx), q, engine.Bound{}, m); err != nil {
+		return nil, err
 	}
-	return cg, cg.g.SCCs(), nil
+	return m, nil
 }
 
-// markedCycles returns the normalized encodings of the cycles in C, read
-// from the S_k facts through the shape's position permutation.
-func (cg *cycleGraph) markedCycles(q cq.Query, shape *core.CycleShape, d *db.DB) map[string]bool {
-	out := make(map[string]bool)
-	rel := q.Atoms[shape.SkAtom].Rel
-	for _, f := range d.RelationFacts(rel) {
-		cycle := make([]int, shape.K)
+// buildCycleGraph constructs the fact graph of the selected facts and its
+// strong components. When the selection is purified, no edge crosses strong
+// components (every fact lies on a cycle witnessed by an embedding); the
+// components are returned as vertex sets.
+func buildCycleGraph(q cq.Query, shape *core.CycleShape, m *engine.Mask) (*cycleGraph, [][]int) {
+	k := shape.K
+	cg := &cycleGraph{k: k, ids: make(map[uint64]int)}
+	var edges [][2]int
+	for pos, ai := range shape.CycleAtoms {
+		ir := m.Rel(ai)
+		for fi := uint32(0); fi < uint32(ir.NumFacts()); fi++ {
+			if m.Has(ai, fi) {
+				u := cg.vertex(pos, ir.Cols[0][fi])
+				v := cg.vertex((pos+1)%k, ir.Cols[1][fi])
+				edges = append(edges, [2]int{u, v})
+			}
+		}
+	}
+	cg.g = graph.New(len(cg.ids))
+	for _, e := range edges {
+		cg.g.AddEdge(e[0], e[1])
+	}
+	return cg, cg.g.SCCs()
+}
+
+// markedCycles returns the cycles in C, read from the selected S_k facts
+// through the shape's position permutation.
+func (cg *cycleGraph) markedCycles(shape *core.CycleShape, m *engine.Mask) *cycleSet {
+	set := &cycleSet{k: shape.K}
+	ir := m.Rel(shape.SkAtom)
+	cycle := make([]int, shape.K)
+	for fi := uint32(0); fi < uint32(ir.NumFacts()); fi++ {
+		if !m.Has(shape.SkAtom, fi) {
+			continue
+		}
 		ok := true
-		for j, val := range f.Args {
+		for j, col := range ir.Cols {
 			p := shape.SkPositions[j]
-			key := cg.vertexKey(p, val)
-			id, exists := cg.ids[key]
+			v, exists := cg.ids[packVertex(p, col[fi])]
 			if !exists {
 				// The S_k fact references a value with no incident R-edge;
 				// it can never be fully marked, so it constrains nothing.
 				ok = false
 				break
 			}
-			cycle[p] = id
+			cycle[p] = v
 		}
 		if ok {
-			out[normalizeCycle(cycle)] = true
+			set.flat = appendRotated(set.flat, cycle)
 		}
 	}
-	return out
+	sort.Sort(set)
+	return set
 }
 
-// decideByComponents applies the per-component case analysis of Theorem 4's
-// proof. inC is the set of normalized k-cycles belonging to C; nil means
+// decideByComponentsCtx applies the per-component case analysis of
+// Theorem 4's proof. inC is the set of k-cycles belonging to C; nil means
 // "every k-cycle is in C" (the C(k) case).
 //
 // A component admits a marking iff it contains a k-cycle not in C, or an
@@ -189,19 +211,8 @@ func (cg *cycleGraph) markedCycles(q cq.Query, shape *core.CycleShape, d *db.DB)
 // cannot occur on purified databases (every vertex lies on a cycle of
 // length k); they are treated as admitting no marking, which errs on the
 // side of "certain" and is exercised only through direct API misuse.
-func decideByComponents(cg *cycleGraph, comps [][]int, inC map[string]bool) bool {
-	for _, comp := range comps {
-		if markableComponent(cg, comp, inC) {
-			continue
-		}
-		return true // some strong component forces q in every repair
-	}
-	return false
-}
-
-// decideByComponentsCtx is decideByComponents with one governor step
-// charged per strong component.
-func decideByComponentsCtx(ctx context.Context, cg *cycleGraph, comps [][]int, inC map[string]bool) (bool, error) {
+// One governor step is charged per strong component.
+func decideByComponentsCtx(ctx context.Context, cg *cycleGraph, comps [][]int, inC *cycleSet) (bool, error) {
 	g := govern.From(ctx)
 	for _, comp := range comps {
 		if err := g.Step(); err != nil {
@@ -215,15 +226,17 @@ func decideByComponentsCtx(ctx context.Context, cg *cycleGraph, comps [][]int, i
 	return false, nil
 }
 
-func markableComponent(cg *cycleGraph, comp []int, inC map[string]bool) bool {
+func markableComponent(cg *cycleGraph, comp []int, inC *cycleSet) bool {
 	sub, orig := cg.g.Subgraph(comp)
 	if inC != nil {
+		rotated := make([]int32, 0, cg.k)
+		mapped := make([]int, cg.k)
 		for _, c := range sub.CyclesOfLength(cg.k) {
-			mapped := make([]int, len(c))
 			for i, v := range c {
 				mapped[i] = orig[v]
 			}
-			if !inC[normalizeCycle(mapped)] {
+			rotated = appendRotated(rotated[:0], mapped)
+			if !inC.has(rotated) {
 				return true
 			}
 		}
@@ -232,14 +245,4 @@ func markableComponent(cg *cycleGraph, comp []int, inC map[string]bool) bool {
 		return true
 	}
 	return false
-}
-
-// sortedComponentSizes is a debugging helper exposing component structure.
-func sortedComponentSizes(comps [][]int) []int {
-	out := make([]int, len(comps))
-	for i, c := range comps {
-		out[i] = len(c)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -28,9 +28,11 @@ func SetInterned(on bool) { internedOn.Store(on) }
 // InternedEnabled reports whether the interned plane is selected.
 func InternedEnabled() bool { return internedOn.Load() }
 
-// SetInternedDataPlane is the master switch for the whole interned data
-// plane: it flips the engine, fo, and solver knobs together. Differential
-// tests use it to run every method on both planes against the same inputs.
+// SetInternedDataPlane is the master switch for the interned data plane:
+// it flips the engine, fo, and solver knobs together. Differential tests
+// use it to run every method on both planes against the same inputs.
+// Purification and the Theorem 3, AC(k) and C(k) methods have one
+// implementation over fact masks and consult no knob.
 func SetInternedDataPlane(on bool) {
 	engine.SetInterned(on)
 	fo.SetInterned(on)

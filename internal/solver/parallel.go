@@ -10,7 +10,6 @@ import (
 	"github.com/cqa-go/certainty/internal/core"
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
-	"github.com/cqa-go/certainty/internal/engine"
 	"github.com/cqa-go/certainty/internal/govern"
 )
 
@@ -35,18 +34,12 @@ func CertainACkParallelCtx(ctx context.Context, q cq.Query, shape *core.CycleSha
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	d, err := engine.PurifyCtx(ctx, q, d)
-	if err != nil {
+	m, err := purifyAtoms(ctx, q, d)
+	if err != nil || m.Len() == 0 {
 		return false, err
 	}
-	if d.Len() == 0 {
-		return false, nil
-	}
-	cg, comps, err := buildCycleGraph(q, shape, d, true)
-	if err != nil {
-		return false, err
-	}
-	inC := cg.markedCycles(q, shape, d)
+	cg, comps := buildCycleGraph(q, shape, m)
+	inC := cg.markedCycles(shape, m)
 	// Never spin up more workers than there are components to decide: the
 	// extras would only contend on the index counter and inflate goroutine
 	// churn on small instances.

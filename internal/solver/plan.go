@@ -14,11 +14,12 @@ import (
 // Plan is the immutable compiled decision strategy for one query: the
 // classification, the method Solve would select, the projection
 // simplification (with its reusable database rewriter) when it applies, and
-// the method's static artifacts — the FO rewriting program of Theorem 1 and
-// the safe certain rewriting of Theorem 6. All of this depends on the query
-// alone, so it is computed once by CompilePlan and reused across databases
-// and goroutines; executing a plan returns byte-identical Results and
-// Verdicts to Solve/SolveCtx on the same query.
+// the method's static artifacts — the FO rewriting program of Theorem 1,
+// the safe certain rewriting of Theorem 6 and the recursion skeleton of
+// Theorem 3. All of this depends on the query alone, so it is computed
+// once by CompilePlan and reused across databases and goroutines;
+// executing a plan returns byte-identical Results and Verdicts to
+// Solve/SolveCtx on the same query.
 //
 // Only the data-dependent work stays at solve time: candidate enumeration
 // (which keys on relation cardinalities and the block index) and the
@@ -42,9 +43,10 @@ type Plan struct {
 	execQ      cq.Query            // the query actually dispatched (== Query unless simplified)
 	execCls    core.Classification // its classification
 	rewriteDB  func(*db.DB) (*db.DB, error)
-	foProg     *FOProgram   // compiled Theorem 1 program when Method == MethodFO
-	safePhi    fo.Formula   // Theorem 6 rewriting when Method == MethodSafeRewriting
-	safeProg   *fo.Compiled // safePhi compiled to the closure/interned trees
+	foProg     *FOProgram        // compiled Theorem 1 program when Method == MethodFO
+	safePhi    fo.Formula        // Theorem 6 rewriting when Method == MethodSafeRewriting
+	safeProg   *fo.Compiled      // safePhi compiled to the closure/interned trees
+	terminal   *terminalSkeleton // Theorem 3 recursion when Method == MethodTerminal
 }
 
 // CompilePlan classifies q, resolves the method Solve would dispatch to
@@ -98,6 +100,7 @@ func CompilePlan(q cq.Query) (*Plan, error) {
 		}
 	case core.ClassPTimeTerminal:
 		p.Method = MethodTerminal
+		p.terminal = compileTerminal(p.execQ)
 	case core.ClassPTimeACk:
 		p.Method = MethodACk
 	case core.ClassPTimeCk:

@@ -1,25 +1,14 @@
 package solver
 
 import (
+	"cmp"
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"github.com/cqa-go/certainty/internal/cq"
 	"github.com/cqa-go/certainty/internal/db"
+	"github.com/cqa-go/certainty/internal/intern"
 )
-
-// encodeVector returns an unambiguous length-prefixed encoding of a
-// constant vector, for use as a map key.
-func encodeVector(vals []string) string {
-	var b strings.Builder
-	for _, v := range vals {
-		b.WriteString(strconv.Itoa(len(v)))
-		b.WriteByte(':')
-		b.WriteString(v)
-	}
-	return b.String()
-}
 
 // This file decides CERTAINTY({F,G}) for two-atom self-join-free queries
 // whose attack graph is a weak 2-cycle — the Kolaitis–Pema "in P but not
@@ -41,176 +30,331 @@ func encodeVector(vals []string) string {
 // A falsifying repair picks one fact per block avoiding every cluster. Per
 // block the choice only matters up to signature, and a fact that matches no
 // partner (or does not match its own atom's constants) is a free choice.
-// Blocks with a free choice are removed together with their incident
-// signatures, iterating to a fixpoint (removing a signature edge can free
-// its other endpoint). What remains is a bipartite multigraph on blocks
-// whose edges are signatures live on both sides; each remaining block must
-// claim one incident edge with no edge claimed twice, which is possible iff
-// every connected component has at least as many edges as vertices (i.e.,
-// is not a tree). Hence:
+// Consider the bipartite multigraph on blocks whose edges are the
+// signatures live on both sides. A block with a free choice can avoid every
+// cluster; then each neighbor's shared signature is no longer a conflict it
+// must claim, so it is free too: freedom spreads through whole connected
+// components. In a component without a free choice each block must claim
+// one incident edge with no edge claimed twice, which is possible iff the
+// component has at least as many edges as vertices (i.e., is not a tree).
+// Hence:
 //
-//	db is certain ⟺ some component of the reduced signature graph is a tree.
-func certainTwoAtomWeak(F, G cq.Atom, d *db.DB) (bool, error) {
-	sharedF := F.Vars().Intersect(G.Vars())
-	if !G.KeyVars().SubsetOf(F.Vars()) || !F.KeyVars().SubsetOf(G.Vars()) {
-		return false, fmt.Errorf("solver: two-atom solver requires a weak cycle: key(G) ⊆ vars(F) and key(F) ⊆ vars(G) (%s, %s)", F, G)
-	}
-	shared := sharedF.Sorted()
+//	db is certain ⟺ some component without a free choice is a tree.
 
-	sig := func(theta cq.Valuation) string {
-		vals := make([]string, len(shared))
-		for i, v := range shared {
-			vals[i] = theta[v]
-		}
-		return encodeVector(vals)
-	}
+// pairPattern matches facts of one atom of a weak cycle: per argument
+// position one test, given the values of the variables bound outside the
+// pair. A variable unbound outside occurs first as a patFree position;
+// repeats test equality with that position.
+type pairPattern []patArg
 
-	// options[blockID] = set of signatures available in the block;
-	// free[blockID] = true if the block has a fact that matches nothing.
-	type blockInfo struct {
-		id      string
-		side    int // 0 = F's relation, 1 = G's relation
-		options map[string]bool
-		free    bool
-	}
-	blocks := make(map[string]*blockInfo)
-	sigSides := make([]map[string][]string, 2) // side → signature → block IDs (singleton)
-	sigSides[0] = make(map[string][]string)
-	sigSides[1] = make(map[string][]string)
+type patArg struct {
+	kind uint8 // patConst, patEnv, patSame or patFree
+	x    int   // patConst: constant index; patEnv/patFree: slot; patSame: earlier position
+}
 
-	collect := func(atom cq.Atom, side int) {
-		for _, blk := range d.BlocksOf(atom.Rel) {
-			bid := blk[0].BlockID()
-			info := &blockInfo{id: bid, side: side, options: make(map[string]bool)}
-			blocks[bid] = info
-			for _, f := range blk {
-				theta, ok := unifyAtomFact(atom, f)
-				if !ok {
-					// A fact that does not match the atom's pattern joins
-					// with nothing: a free choice.
-					info.free = true
-					continue
-				}
-				s := sig(theta)
-				if !info.options[s] {
-					info.options[s] = true
-					sigSides[side][s] = append(sigSides[side][s], bid)
+const (
+	patConst uint8 = iota // equals the constant consts[x]
+	patEnv                // equals env[x], a variable bound outside the pair
+	patSame               // equals the value at position x of the same fact
+	patFree               // first occurrence of slot x: binds it
+)
+
+// compilePattern lowers atom a: slot maps a variable to its environment
+// slot, bound reports the slots fixed outside the pair, and constIdx maps a
+// constant to its index into the runtime constant ids.
+func compilePattern(a cq.Atom, slot func(string) int, bound func(int) bool, constIdx func(string) int) pairPattern {
+	pat := make(pairPattern, len(a.Args))
+	for pos, t := range a.Args {
+		switch {
+		case t.IsConst:
+			pat[pos] = patArg{kind: patConst, x: constIdx(t.Value)}
+		case bound(slot(t.Value)):
+			pat[pos] = patArg{kind: patEnv, x: slot(t.Value)}
+		default:
+			pat[pos] = patArg{kind: patFree, x: slot(t.Value)}
+			for p := 0; p < pos; p++ {
+				if a.Args[p].IsVar() && a.Args[p].Value == t.Value {
+					pat[pos] = patArg{kind: patSame, x: p}
+					break
 				}
 			}
 		}
 	}
-	collect(F, 0)
-	collect(G, 1)
+	return pat
+}
 
-	// A signature is a live edge iff present on both sides. Since the keys
-	// are included in the signature, each side of a signature is a single
-	// block; assert that invariant.
-	type edge struct{ u, v string }
-	edgesBySig := make(map[string]edge)
-	edgesAt := make(map[string]map[string]bool) // blockID → live signatures
-	for s, us := range sigSides[0] {
-		vs, ok := sigSides[1][s]
-		if !ok {
-			continue
-		}
-		if len(us) != 1 || len(vs) != 1 {
-			return false, fmt.Errorf("solver: signature spans multiple blocks; weak-cycle invariant violated")
-		}
-		edgesBySig[s] = edge{u: us[0], v: vs[0]}
-		for _, b := range []string{us[0], vs[0]} {
-			if edgesAt[b] == nil {
-				edgesAt[b] = make(map[string]bool)
-			}
-			edgesAt[b][s] = true
-		}
-	}
-
-	// Reduction: repeatedly remove blocks that have a free option or an
-	// option whose signature is not (or no longer) a live edge.
-	removable := func(b *blockInfo) bool {
-		if b.free {
-			return true
-		}
-		for s := range b.options {
-			if _, live := edgesBySig[s]; !live {
-				return true
-			}
-		}
+// match reports whether fact fi of ir matches the pattern, writing the
+// values of its free variables into env.
+func (pat pairPattern) match(ir *db.IRel, fi uint32, consts, env []uint32) bool {
+	if ir.Arity != len(pat) {
 		return false
 	}
-	queue := make([]string, 0, len(blocks))
-	for bid, b := range blocks {
-		if removable(b) {
-			queue = append(queue, bid)
+	for pos, pa := range pat {
+		v := ir.Cols[pos][fi]
+		switch pa.kind {
+		case patConst:
+			if v != consts[pa.x] {
+				return false
+			}
+		case patEnv:
+			if v != env[pa.x] {
+				return false
+			}
+		case patSame:
+			if v != ir.Cols[pa.x][fi] {
+				return false
+			}
+		default:
+			env[pa.x] = v
 		}
 	}
-	removed := make(map[string]bool)
-	for len(queue) > 0 {
-		bid := queue[0]
-		queue = queue[1:]
-		if removed[bid] {
-			continue
-		}
-		removed[bid] = true
-		for s := range edgesAt[bid] {
-			e, live := edgesBySig[s]
-			if !live {
-				continue
-			}
-			delete(edgesBySig, s)
-			other := e.u
-			if other == bid {
-				other = e.v
-			}
-			delete(edgesAt[other], s)
-			if !removed[other] && removable(blocks[other]) {
-				queue = append(queue, other)
-			}
-		}
-	}
+	return true
+}
 
-	// Remaining blocks: every option is a live edge. Falsifiable iff every
-	// connected component of the block/edge multigraph has #edges >=
-	// #vertices; certain iff some component is a tree.
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		if parent[x] != x {
-			parent[x] = find(parent[x])
+// pairFact is one fact of a weak cycle: its side (0 for F's relation, 1
+// for G's), its index and block ordinal in that relation, and its key — the
+// partition vector, then the signature — at key*stride in pairScratch.keys.
+type pairFact struct {
+	side  uint8
+	fi    uint32
+	block uint32
+	key   int32
+}
+
+// pairScratch is the reusable state of the two-atom decision.
+type pairScratch struct {
+	facts  []pairFact
+	keys   []uint32
+	stride int
+	// local maps (side, block ordinal) to a local block id, -1 when unseen;
+	// reset after each partition.
+	local  [2][]int32
+	parent []int32
+	bad    []bool
+	verts  []int32
+	edges  []int32
+	ends   []int32
+}
+
+func (sc *pairScratch) reset(stride int) {
+	sc.facts, sc.keys, sc.stride = sc.facts[:0], sc.keys[:0], stride
+}
+
+// add records fact fi of the given side with its key read from env.
+func (sc *pairScratch) add(side uint8, fi, block uint32, env []uint32, keySlots []int) {
+	sc.facts = append(sc.facts, pairFact{side: side, fi: fi, block: block, key: int32(len(sc.keys) / max(sc.stride, 1))})
+	for _, s := range keySlots {
+		sc.keys = append(sc.keys, env[s])
+	}
+}
+
+func (sc *pairScratch) keyOf(f pairFact) []uint32 {
+	k := int(f.key) * sc.stride
+	return sc.keys[k : k+sc.stride]
+}
+
+// sortFacts orders the facts by key, side and block, so that partitions,
+// then signature groups within them, then blocks within a group's side are
+// contiguous.
+func (sc *pairScratch) sortFacts() {
+	slices.SortFunc(sc.facts, func(a, b pairFact) int {
+		if c := slices.Compare(sc.keyOf(a), sc.keyOf(b)); c != 0 {
+			return c
 		}
-		return parent[x]
-	}
-	compVerts := make(map[string]int)
-	compEdges := make(map[string]int)
-	for bid, b := range blocks {
-		if !removed[bid] {
-			parent[bid] = bid
-			_ = b
+		if c := cmp.Compare(a.side, b.side); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.block, b.block)
+	})
+}
+
+// certain decides one partition: facts (sorted by sortFacts, all with
+// equal partition vectors) whose key from sigOff on is the signature, plus
+// the facts of free choices, which match no pattern. nblocks gives each
+// side's block count.
+func (sc *pairScratch) certain(facts, free []pairFact, sigOff int, nblocks [2]int) (bool, error) {
+	for side := range sc.local {
+		if len(sc.local[side]) < nblocks[side] {
+			sc.local[side] = make([]int32, nblocks[side])
+			for i := range sc.local[side] {
+				sc.local[side][i] = -1
+			}
 		}
 	}
-	for _, e := range edgesBySig {
-		ru, rv := find(e.u), find(e.v)
-		if ru != rv {
-			parent[ru] = rv
+	sc.parent, sc.bad, sc.ends = sc.parent[:0], sc.bad[:0], sc.ends[:0]
+	localOf := func(f pairFact) int32 {
+		id := sc.local[f.side][f.block]
+		if id < 0 {
+			id = int32(len(sc.parent))
+			sc.local[f.side][f.block] = id
+			sc.parent = append(sc.parent, id)
+			sc.bad = append(sc.bad, false)
+		}
+		return id
+	}
+	defer func() {
+		for _, set := range [][]pairFact{facts, free} {
+			for _, f := range set {
+				sc.local[f.side][f.block] = -1
+			}
+		}
+	}()
+	for _, f := range free {
+		sc.bad[localOf(f)] = true
+	}
+	sig := func(f pairFact) []uint32 { return sc.keyOf(f)[sigOff:] }
+	for lo := 0; lo < len(facts); {
+		hi := lo + 1
+		for hi < len(facts) && slices.Equal(sig(facts[hi]), sig(facts[lo])) {
+			hi++
+		}
+		// One signature: its facts on each side, sorted by block.
+		var blocks [2]int
+		var end [2]int32
+		for i := lo; i < hi; i++ {
+			f := facts[i]
+			id := localOf(f)
+			if i == lo || f.side != facts[i-1].side || f.block != facts[i-1].block {
+				blocks[f.side]++
+				end[f.side] = id
+			}
+		}
+		switch {
+		case blocks[0] > 1 || blocks[1] > 1:
+			return false, fmt.Errorf("solver: signature spans multiple blocks; weak-cycle invariant violated")
+		case blocks[0] == 1 && blocks[1] == 1:
+			// A live edge between the signature's two blocks.
+			sc.ends = append(sc.ends, end[0])
+			sc.union(end[0], end[1])
+		default:
+			// The signature has no partner: its block can avoid q.
+			for i := lo; i < hi; i++ {
+				sc.bad[localOf(facts[i])] = true
+			}
+		}
+		lo = hi
+	}
+	n := len(sc.parent)
+	sc.verts = growInt32(sc.verts, n)
+	sc.edges = growInt32(sc.edges, n)
+	for b := 0; b < n; b++ {
+		r := sc.find(int32(b))
+		sc.verts[r]++
+		if sc.bad[b] {
+			sc.bad[r] = true
 		}
 	}
-	for bid := range parent {
-		compVerts[find(bid)]++
+	for _, u := range sc.ends {
+		sc.edges[sc.find(u)]++
 	}
-	for _, e := range edgesBySig {
-		compEdges[find(e.u)]++
-	}
-	for root, verts := range compVerts {
-		if compEdges[root] < verts {
-			// This component is a tree: no falsifying choice exists within
-			// it, so every repair satisfies q.
+	for b := 0; b < n; b++ {
+		if sc.find(int32(b)) == int32(b) && !sc.bad[b] && sc.edges[b] < sc.verts[b] {
+			// A tree without a free choice: no falsifying choice exists
+			// within it, so every repair satisfies q.
 			return true, nil
 		}
 	}
-	// Every component can avoid all conflicts — unless the query cannot be
-	// satisfied at all, in which case no repair satisfies it either and the
-	// answer is "not certain" (consistently handled: zero components mean a
-	// falsifying repair exists whenever the database is nonempty; and for
-	// an empty database the empty repair falsifies the nonempty query q).
+	// Every component can avoid all conflicts — also when there is none at
+	// all: the empty repair falsifies the nonempty query.
 	return false, nil
+}
+
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+func (sc *pairScratch) find(x int32) int32 {
+	for sc.parent[x] != x {
+		sc.parent[x] = sc.parent[sc.parent[x]]
+		x = sc.parent[x]
+	}
+	return x
+}
+
+func (sc *pairScratch) union(a, b int32) {
+	if ra, rb := sc.find(a), sc.find(b); ra != rb {
+		sc.parent[ra] = rb
+	}
+}
+
+// weakPairVars checks the weak-cycle hypothesis key(G) ⊆ vars(F) and
+// key(F) ⊆ vars(G), and returns the signature variables
+// S = vars(F) ∩ vars(G), sorted.
+func weakPairVars(F, G cq.Atom) ([]string, error) {
+	fv, gv := F.Vars(), G.Vars()
+	if !G.KeyVars().SubsetOf(fv) || !F.KeyVars().SubsetOf(gv) {
+		return nil, fmt.Errorf("solver: two-atom solver requires a weak cycle: key(G) ⊆ vars(F) and key(F) ⊆ vars(G) (%s, %s)", F, G)
+	}
+	return fv.Intersect(gv).Sorted(), nil
+}
+
+// lookupIDs appends the ids of names in the view to dst, intern.None for
+// names absent from it (they match nothing).
+func lookupIDs(in *db.Interned, names []string, dst []uint32) []uint32 {
+	for _, c := range names {
+		id, ok := in.Syms.Lookup(c)
+		if !ok {
+			id = intern.None
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// certainTwoAtomWeak decides d ∈ CERTAINTY({F, G}) for a weak 2-cycle on
+// any database (purified or not), over d's interned view.
+func certainTwoAtomWeak(F, G cq.Atom, d *db.DB) (bool, error) {
+	sigVars, err := weakPairVars(F, G)
+	if err != nil {
+		return false, err
+	}
+	vars := append([]string(nil), sigVars...)
+	slot := func(v string) int {
+		if i := slices.Index(vars, v); i >= 0 {
+			return i
+		}
+		vars = append(vars, v)
+		return len(vars) - 1
+	}
+	in := d.Interned()
+	var constNames []string
+	constIdx := func(c string) int {
+		constNames = append(constNames, c)
+		return len(constNames) - 1
+	}
+	never := func(int) bool { return false }
+	pats := [2]pairPattern{compilePattern(F, slot, never, constIdx), compilePattern(G, slot, never, constIdx)}
+	consts := lookupIDs(in, constNames, nil)
+	env := make([]uint32, len(vars))
+	sigSlots := make([]int, len(sigVars))
+	for i := range sigSlots {
+		sigSlots[i] = i
+	}
+	var sc pairScratch
+	sc.reset(len(sigSlots))
+	var free []pairFact
+	var nblocks [2]int
+	for side, a := range [2]cq.Atom{F, G} {
+		ir := in.Rel(a.Rel)
+		if ir == nil {
+			continue
+		}
+		nblocks[side] = ir.NumBlocks()
+		for fi := uint32(0); fi < uint32(ir.NumFacts()); fi++ {
+			if ir.KeyLen == a.KeyLen && pats[side].match(ir, fi, consts, env) {
+				sc.add(uint8(side), fi, ir.BlockOfFact[fi], env, sigSlots)
+			} else {
+				// A fact that does not match the atom's pattern joins with
+				// nothing: a free choice.
+				free = append(free, pairFact{side: uint8(side), fi: fi, block: ir.BlockOfFact[fi]})
+			}
+		}
+	}
+	sc.sortFacts()
+	return sc.certain(sc.facts, free, 0, nblocks)
 }

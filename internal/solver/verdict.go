@@ -213,7 +213,7 @@ func methodForClass(cls core.Classification) Method {
 
 // dispatchGoverned runs the decision procedure for cls on (q, d). When a
 // compiled plan is supplied, its precompiled artifacts (the FO program, the
-// safe rewriting) replace the per-call compilation; governor step accounting
+// safe rewriting, the Theorem 3 skeleton) replace the per-call compilation; governor step accounting
 // is identical either way, so the two modes produce byte-identical Verdicts.
 func dispatchGoverned(ctx context.Context, g *govern.Governor, q cq.Query, d *db.DB, cls core.Classification, opts Options, p *Plan) (Verdict, error) {
 	method := methodForClass(cls)
@@ -241,7 +241,11 @@ func dispatchGoverned(ctx context.Context, g *govern.Governor, q cq.Query, d *db
 			certain, err = CertainFOCtx(ectx, q, d)
 		}
 	case MethodTerminal:
-		certain, err = CertainTerminalCtx(ectx, q, d)
+		if p != nil {
+			certain, err = p.terminal.certain(govern.From(ectx), d)
+		} else {
+			certain, err = CertainTerminalCtx(ectx, q, d)
+		}
 	case MethodACk:
 		certain, err = CertainACkCtx(ectx, q, cls.Shape, d)
 	case MethodCk:
